@@ -18,6 +18,7 @@
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Mapping
@@ -263,6 +264,11 @@ def _exact_div_q(numerator: MultiPoly, denominator: MultiPoly) -> MultiPoly:
 # the polynomial zoo
 # ---------------------------------------------------------------------------
 
+def _tally(keys: Iterable[Exponents]) -> MultiPoly:
+    """The polynomial whose coefficients count the exponent keys in a stream."""
+    return MultiPoly(Counter(keys))
+
+
 def a_poly(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
     """Bistatistic polynomial: sum over 231-avoiders of q^maj t^(C(n,2)-imaj).
 
@@ -272,12 +278,8 @@ def a_poly(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
     if n == 0:
         return MultiPoly.one()
     shift = comb(n, 2)
-    out: dict[Exponents, int] = {}
-    for p in enumerate_avoiders(n, (2, 3, 1), max_n=max_n):
-        s = perm_stats(p)
-        key = (0, s.maj, shift - s.imaj)
-        out[key] = out.get(key, 0) + 1
-    return MultiPoly(out)
+    stats = map(perm_stats, enumerate_avoiders(n, (2, 3, 1), max_n=max_n))
+    return _tally((0, s.maj, shift - s.imaj) for s in stats)
 
 
 def a_poly_via_paths(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
@@ -286,30 +288,18 @@ def a_poly_via_paths(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
     if n == 0:
         return MultiPoly.one()
     shift = comb(n, 2)
-    out: dict[Exponents, int] = {}
-    for D in enumerate_dyck(n, max_n=max_n):
-        s = path_stats(D)
-        key = (0, s.maj1, shift - s.maj0)
-        out[key] = out.get(key, 0) + 1
-    return MultiPoly(out)
+    stats = map(path_stats, enumerate_dyck(n, max_n=max_n))
+    return _tally((0, s.maj1, shift - s.maj0) for s in stats)
 
 
 def cat_qt(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
     """q,t-Catalan polynomial: sum over Dyck paths of q^area t^bounce."""
-    out: dict[Exponents, int] = {}
-    for D in enumerate_dyck(n, max_n=max_n):
-        key = (0, area(D), bounce(D))
-        out[key] = out.get(key, 0) + 1
-    return MultiPoly(out)
+    return _tally((0, area(D), bounce(D)) for D in enumerate_dyck(n, max_n=max_n))
 
 
 def macmahon_q_catalan(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
     """Major-index q-Catalan: sum over Dyck paths of q^maj."""
-    out: dict[Exponents, int] = {}
-    for D in enumerate_dyck(n, max_n=max_n):
-        key = (0, path_stats(D).maj, 0)
-        out[key] = out.get(key, 0) + 1
-    return MultiPoly(out)
+    return _tally((0, s.maj, 0) for s in map(path_stats, enumerate_dyck(n, max_n=max_n)))
 
 
 def macmahon_q_catalan_quotient(n: int) -> MultiPoly:
@@ -349,15 +339,10 @@ def tristat_gf(
     if orientation not in ("plain", "complemented"):
         raise ValueError(f"unknown orientation {orientation!r}")
     shift = comb(n, 2)
-    out: dict[Exponents, int] = {}
-    for p in enumerate_avoiders(n, pat, max_n=max_n):
-        s = perm_stats(p)
-        if orientation == "plain":
-            key = (s.des, s.maj, s.imaj)
-        else:
-            key = (n - 1 - s.des, shift - s.maj, shift - s.imaj)
-        out[key] = out.get(key, 0) + 1
-    return MultiPoly(out)
+    stats = map(perm_stats, enumerate_avoiders(n, pat, max_n=max_n))
+    if orientation == "plain":
+        return _tally((s.des, s.maj, s.imaj) for s in stats)
+    return _tally((n - 1 - s.des, shift - s.maj, shift - s.imaj) for s in stats)
 
 
 def qt_swap(p: MultiPoly) -> MultiPoly:

@@ -1,19 +1,33 @@
 """Named check suites over exhaustively enumerated objects.
 
-Each suite function returns a list of ``Check`` results; a check fails with
-the smallest counterexample found (enumeration is ascending in n, lex within
-each n).  The CLI's ``verify`` command prints them as a PASS/FAIL table, and
-the acceptance tests assert on them directly.
+A suite is a table of laws, and each row is ``(name, bar, domain, test)``:
+``domain(n)`` yields the objects of size n, and ``test(n, x)`` returns None
+when the law holds at ``x`` and the counterexample text when it does not.
+One driver, ``_failures``, walks n = 1..bar and each domain in its own order,
+so the first text it yields is the smallest counterexample (ascending n, lex
+within n); ``_scan`` stops it there and makes the ``Check``.  A row may carry
+a fifth field, the note a passing check prints.  Three helpers build rows:
+
+- ``_holds`` turns a predicate into a test that reports ``str(x)``;
+- ``_per_n`` checks one identity per size on the domain ``(n,)`` and reports
+  ``n=<n>``;
+- ``_fact`` checks a fixed fact once, as a row with bar 1.
+
+The CLI's ``verify`` command prints the checks as a PASS/FAIL table, and the
+acceptance tests assert on them directly.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from . import bijections, dyck, permutations, polynomials, tableaux
 from .permutations import DEFAULT_MAX_N, Permutation
+
+Test = Callable[[int, Any], "str | None"]
 
 
 @dataclass
@@ -31,12 +45,45 @@ def _scan(name: str, counterexamples: Iterator[str], note: str = "") -> Check:
     return Check(name=name, passed=False, detail=f"counterexample: {first}")
 
 
+def _failures(bar: int, domain: Callable[[int], Iterable], test: Test) -> Iterator[str]:
+    """The driver: every failure of ``test`` over n = 1..bar, in domain order."""
+    for n in range(1, bar + 1):
+        for x in domain(n):
+            failure = test(n, x)
+            if failure is not None:
+                yield failure
+
+
+def _run(rows: Iterable[tuple]) -> list[Check]:
+    return [_scan(name, _failures(bar, domain, test), *note) for name, bar, domain, test, *note in rows]
+
+
+def _holds(law: Callable[[int, Any], bool]) -> Test:
+    return lambda n, x: None if law(n, x) else str(x)
+
+
+def _size(n: int) -> tuple[int]:
+    return (n,)
+
+
+def _per_n(name: str, bar: int, holds: Callable[[int], bool]) -> tuple:
+    return (name, bar, _size, lambda n, _: None if holds(n) else f"n={n}")
+
+
+def _fact(name: str, failure: Callable[[], str | None], *note: str) -> tuple:
+    return (name, 1, _size, lambda n, _: failure(), *note)
+
+
+def _avoiders(pattern, max_n: int) -> Callable[[int], Iterator[Permutation]]:
+    return lambda n: permutations.enumerate_avoiders(n, pattern, max_n=max_n)
+
+
+def _all_perms(n: int) -> Iterator[Permutation]:
+    return map(Permutation, itertools.permutations(range(1, n + 1)))
+
+
 def _catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
-
-
-def _avoiders(n: int, pattern, max_n: int):
-    return permutations.enumerate_avoiders(n, pattern, max_n=max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -44,57 +91,44 @@ def _avoiders(n: int, pattern, max_n: int):
 # ---------------------------------------------------------------------------
 
 def suite_phi(n_max: int = 9, max_n: int = DEFAULT_MAX_N) -> list[Check]:
-    def bijectivity() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            images = set()
-            count = 0
-            for p in _avoiders(n, (2, 3, 1), max_n):
-                D = bijections.phi(p, check=False)
-                count += 1
-                images.add(D)
-                if bijections.phi_inv(D) != p:
-                    yield f"round-trip fails at {p}"
-                    return
-            if count != _catalan(n) or len(images) != _catalan(n):
-                yield f"n={n}: {count} avoiders, {len(images)} images, want {_catalan(n)}"
-                return
-            for D in dyck.enumerate_dyck(n, max_n=max_n):
-                if bijections.phi(bijections.phi_inv(D), check=False) != D:
-                    yield f"path round-trip fails at {D}"
-                    return
+    avoiders = _avoiders((2, 3, 1), max_n)
 
-    def maj_additive() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            for p in _avoiders(n, (2, 3, 1), max_n):
-                s = permutations.perm_stats(p)
-                if dyck.path_stats(bijections.phi(p, check=False)).maj != s.maj + s.imaj:
-                    yield str(p)
-                    return
+    def phi(p: Permutation) -> dyck.DyckPath:
+        return bijections.phi(p, check=False)
 
-    def valley_transport() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            for p in _avoiders(n, (2, 3, 1), max_n):
-                d = permutations.descent_data(p)
-                v = dyck.valleys(bijections.phi(p, check=False))
-                if set(v.xs) != d.des or set(v.ys) != d.ides:
-                    yield str(p)
-                    return
+    def bijects(n: int, _) -> str | None:
+        count, images = 0, set()
+        for p in avoiders(n):
+            D = phi(p)
+            count += 1
+            images.add(D)
+            if bijections.phi_inv(D) != p:
+                return f"round-trip fails at {p}"
+        if count != _catalan(n) or len(images) != _catalan(n):
+            return f"n={n}: {count} avoiders, {len(images)} images, want {_catalan(n)}"
+        paths = dyck.enumerate_dyck(n, max_n=max_n)
+        return next((f"path round-trip fails at {D}" for D in paths if phi(bijections.phi_inv(D)) != D), None)
 
-    def split_transport() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            for p in _avoiders(n, (2, 3, 1), max_n):
-                s = permutations.perm_stats(p)
-                ps = dyck.path_stats(bijections.phi(p, check=False))
-                if ps.maj1 != s.maj or ps.maj0 != s.imaj:
-                    yield str(p)
-                    return
+    def maj_additive(n: int, p: Permutation) -> bool:
+        s = permutations.perm_stats(p)
+        return dyck.path_stats(phi(p)).maj == s.maj + s.imaj
 
-    return [
-        _scan(f"phi bijects 231-avoiders onto Dyck paths, n<={n_max}", bijectivity()),
-        _scan(f"maj(phi(w)) = maj(w) + imaj(w), n<={n_max}", maj_additive()),
-        _scan(f"valley sets of phi(w) are (Des, iDes), n<={n_max}", valley_transport()),
-        _scan(f"(maj1, maj0) of phi(w) is (maj, imaj), n<={n_max}", split_transport()),
-    ]
+    def valley_transport(n: int, p: Permutation) -> bool:
+        d = permutations.descent_data(p)
+        v = dyck.valleys(phi(p))
+        return set(v.xs) == d.des and set(v.ys) == d.ides
+
+    def split_transport(n: int, p: Permutation) -> bool:
+        s = permutations.perm_stats(p)
+        ps = dyck.path_stats(phi(p))
+        return ps.maj1 == s.maj and ps.maj0 == s.imaj
+
+    return _run([
+        (f"phi bijects 231-avoiders onto Dyck paths, n<={n_max}", n_max, _size, bijects),
+        (f"maj(phi(w)) = maj(w) + imaj(w), n<={n_max}", n_max, avoiders, _holds(maj_additive)),
+        (f"valley sets of phi(w) are (Des, iDes), n<={n_max}", n_max, avoiders, _holds(valley_transport)),
+        (f"(maj1, maj0) of phi(w) is (maj, imaj), n<={n_max}", n_max, avoiders, _holds(split_transport)),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -102,86 +136,64 @@ def suite_phi(n_max: int = 9, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 def suite_lemmas(n_max: int = 8, max_n: int = DEFAULT_MAX_N) -> list[Check]:
-    def ides_from_values() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            for p in _avoiders(n, (2, 3, 1), max_n):
-                d = permutations.descent_data(p)
-                if d.ides != {p.word[i - 1] - 1 for i in d.des}:
-                    yield str(p)
-                    return
+    avoiders = _avoiders((2, 3, 1), max_n)
 
-    def des_counts_match_inverse() -> Iterator[str]:
-        for pattern in ((1, 3, 2), (2, 3, 1), (3, 1, 2), (2, 1, 3)):
-            for n in range(1, n_max + 1):
-                for p in _avoiders(n, pattern, max_n):
-                    d = permutations.descent_data(p)
-                    if len(d.des) != len(d.ides):
-                        yield f"{p} avoiding {pattern}"
-                        return
+    def ides_from_values(n: int, p: Permutation) -> bool:
+        d = permutations.descent_data(p)
+        return d.ides == {p.word[i - 1] - 1 for i in d.des}
 
-    def witness_123() -> Iterator[str]:
+    def pattern_major(_) -> Iterator[tuple]:
+        # pattern-major: every n for one pattern before the next, so the row runs once, at bar 1
+        patterns = ((1, 3, 2), (2, 3, 1), (3, 1, 2), (2, 1, 3))
+        sizes = range(1, n_max + 1)
+        return ((pat, p) for pat in patterns for n in sizes for p in _avoiders(pat, max_n)(n))
+
+    def des_counts_match(_, pair: tuple) -> str | None:
+        pattern, p = pair
+        d = permutations.descent_data(p)
+        return None if len(d.des) == len(d.ides) else f"{p} avoiding {pattern}"
+
+    def witness_123() -> str | None:
         w = Permutation((2, 4, 1, 3))
         d = permutations.descent_data(w)
-        ok = (
-            permutations.avoids(w, (1, 2, 3))
-            and d.des == {2}
-            and d.ides == {1, 3}
-        )
-        if not ok:
-            yield f"witness broke: Des={sorted(d.des)}, iDes={sorted(d.ides)}"
+        if permutations.avoids(w, (1, 2, 3)) and d.des == {2} and d.ides == {1, 3}:
+            return None
+        return f"witness broke: Des={sorted(d.des)}, iDes={sorted(d.ides)}"
 
-    def ascents_bound_tail() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            for p in _avoiders(n, (2, 3, 1), max_n):
-                d = permutations.descent_data(p)
-                for j in d.asc:
-                    if any(p.word[k - 1] < p.word[j - 1] for k in range(j + 1, n + 1)):
-                        yield f"{p}, ascent {j}"
-                        return
+    def ascents_bound_tail(n: int, p: Permutation) -> str | None:
+        asc = permutations.descent_data(p).asc
+        return next((f"{p}, ascent {j}" for j in asc if any(v < p.word[j - 1] for v in p.word[j:])), None)
 
-    def ascent_inequality() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            for p in _avoiders(n, (2, 3, 1), max_n):
-                for j in permutations.descent_data(p).asc:
-                    if j < p.word[j - 1] + permutations.descent_run_before(p, j):
-                        yield f"{p}, ascent {j}"
-                        return
+    def ascent_inequality(n: int, p: Permutation) -> str | None:
+        asc = permutations.descent_data(p).asc
+        run = permutations.descent_run_before
+        return next((f"{p}, ascent {j}" for j in asc if j < p.word[j - 1] + run(p, j)), None)
 
-    def consecutive_ascents() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            for p in _avoiders(n, (2, 3, 1), max_n):
-                asc = sorted(permutations.descent_data(p).asc)
-                for a, b in zip(asc, asc[1:]):
-                    if a < p.word[b - 1] - 1:
-                        yield f"{p}, ascents {a},{b}"
-                        return
+    def consecutive_ascents(n: int, p: Permutation) -> str | None:
+        asc = sorted(permutations.descent_data(p).asc)
+        pairs = zip(asc, asc[1:])
+        return next((f"{p}, ascents {a},{b}" for a, b in pairs if a < p.word[b - 1] - 1), None)
 
-    def elementwise() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            for p in _avoiders(n, (2, 3, 1), max_n):
-                d = permutations.descent_data(p)
-                if any(i > j for i, j in zip(sorted(d.des), sorted(d.ides))):
-                    yield str(p)
-                    return
+    def elementwise(n: int, p: Permutation) -> bool:
+        d = permutations.descent_data(p)
+        return all(i <= j for i, j in zip(sorted(d.des), sorted(d.ides)))
 
-    def reconstruct_roundtrip() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            for p in _avoiders(n, (2, 3, 1), max_n):
-                d = permutations.descent_data(p)
-                if permutations.reconstruct_231(n, d.des, d.ides) != p:
-                    yield str(p)
-                    return
+    def reconstructs(n: int, p: Permutation) -> bool:
+        d = permutations.descent_data(p)
+        return permutations.reconstruct_231(n, d.des, d.ides) == p
 
-    return [
-        _scan(f"iDes = {{w_i - 1 : i in Des}} on 231-avoiders, n<={n_max}", ides_from_values()),
-        _scan(f"|Des| = |iDes| on 132/231/312/213-avoiders, n<={n_max}", des_counts_match_inverse()),
-        _scan("witness [2,4,1,3]: 123-avoiding, |Des|=1 but |iDes|=2", witness_123()),
-        _scan(f"values after an ascent exceed it (231), n<={n_max}", ascents_bound_tail()),
-        _scan(f"j >= w_j + run-before-j at ascents (231), n<={n_max}", ascent_inequality()),
-        _scan(f"consecutive ascents: j_l >= w(j_l+1) - 1 (231), n<={n_max}", consecutive_ascents()),
-        _scan(f"sorted Des <= iDes elementwise (231), n<={n_max}", elementwise()),
-        _scan(f"reconstruct_231 round-trips descent data, n<={n_max}", reconstruct_roundtrip()),
-    ]
+    return _run([
+        (f"iDes = {{w_i - 1 : i in Des}} on 231-avoiders, n<={n_max}", n_max, avoiders,
+         _holds(ides_from_values)),
+        (f"|Des| = |iDes| on 132/231/312/213-avoiders, n<={n_max}", 1, pattern_major, des_counts_match),
+        _fact("witness [2,4,1,3]: 123-avoiding, |Des|=1 but |iDes|=2", witness_123),
+        (f"values after an ascent exceed it (231), n<={n_max}", n_max, avoiders, ascents_bound_tail),
+        (f"j >= w_j + run-before-j at ascents (231), n<={n_max}", n_max, avoiders, ascent_inequality),
+        (f"consecutive ascents: j_l >= w(j_l+1) - 1 (231), n<={n_max}", n_max, avoiders,
+         consecutive_ascents),
+        (f"sorted Des <= iDes elementwise (231), n<={n_max}", n_max, avoiders, _holds(elementwise)),
+        (f"reconstruct_231 round-trips descent data, n<={n_max}", n_max, avoiders, _holds(reconstructs)),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -189,70 +201,49 @@ def suite_lemmas(n_max: int = 8, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 def suite_kappa(n_max: int = 8, max_n: int = DEFAULT_MAX_N) -> list[Check]:
-    heights_bar = min(n_max, 7)  # these two range over all of S_n
+    avoiders = _avoiders((1, 3, 2), max_n)
+    heights_bar = min(n_max, 7)  # the height checks range over all of S_n
 
-    def factorization() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            for p in _avoiders(n, (1, 3, 2), max_n):
-                if bijections.kappa(p, check=False) != bijections.kappa_factored(p, check=False):
-                    yield str(p)
-                    return
+    def kappa(p: Permutation) -> dyck.DyckPath:
+        return bijections.kappa(p, check=False)
 
-    def set_x() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            for p in _avoiders(n, (1, 3, 2), max_n):
-                v = dyck.valleys(bijections.kappa(p, check=False))
-                if set(v.xs) != permutations.descent_data(p).des:
-                    yield str(p)
-                    return
+    def factorization(n: int, p: Permutation) -> bool:
+        return kappa(p) == bijections.kappa_factored(p, check=False)
 
-    def set_y() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            for p in _avoiders(n, (1, 3, 2), max_n):
-                v = dyck.valleys(bijections.kappa(p, check=False))
-                want = {n - j for j in permutations.descent_data(p).ides}
-                if set(v.ys) != want:
-                    yield str(p)
-                    return
+    def set_x(n: int, p: Permutation) -> bool:
+        return set(dyck.valleys(kappa(p)).xs) == permutations.descent_data(p).des
 
-    def ides_from_heights() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            for p in _avoiders(n, (1, 3, 2), max_n):
-                hs = bijections.heights(p)
-                d = permutations.descent_data(p)
-                if d.ides != {n - i - hs[i - 1] for i in d.des}:
-                    yield str(p)
-                    return
+    def set_y(n: int, p: Permutation) -> bool:
+        return set(dyck.valleys(kappa(p)).ys) == {n - j for j in permutations.descent_data(p).ides}
 
-    def height_drop_is_ascent() -> Iterator[str]:
-        for n in range(1, heights_bar + 1):
-            for word in itertools.permutations(range(1, n + 1)):
-                p = Permutation(word)
-                hs = bijections.heights(p)
-                asc = permutations.descent_data(p).asc
-                for i in range(1, n):
-                    if (hs[i] < hs[i - 1]) != (i in asc):
-                        yield f"{p}, position {i}"
-                        return
+    def ides_from_heights(n: int, p: Permutation) -> bool:
+        hs = bijections.heights(p)
+        d = permutations.descent_data(p)
+        return d.ides == {n - i - hs[i - 1] for i in d.des}
 
-    def height_criterion() -> Iterator[str]:
-        for n in range(1, heights_bar + 1):
-            for word in itertools.permutations(range(1, n + 1)):
-                p = Permutation(word)
-                hs = bijections.heights(p)
-                crit = all(b >= a - 1 for a, b in zip(hs, hs[1:]))
-                if crit != permutations.avoids(p, (1, 3, 2)):
-                    yield str(p)
-                    return
+    def drops_at_ascents(n: int, p: Permutation) -> str | None:
+        hs = bijections.heights(p)
+        asc = permutations.descent_data(p).asc
+        drops = (i for i in range(1, n) if (hs[i] < hs[i - 1]) != (i in asc))
+        return next((f"{p}, position {i}" for i in drops), None)
 
-    return [
-        _scan(f"kappa equals reflect o complement o phi o reverse, n<={n_max}", factorization()),
-        _scan(f"Set_X(kappa(w)) = Des(w) on 132-avoiders, n<={n_max}", set_x()),
-        _scan(f"Set_Y(kappa(w)) = {{n-j : j in iDes}} on 132-avoiders, n<={n_max}", set_y()),
-        _scan(f"iDes = {{n-i-h_i : i in Des}} on 132-avoiders, n<={n_max}", ides_from_heights()),
-        _scan(f"h drops exactly at ascents, all permutations, n<={heights_bar}", height_drop_is_ascent()),
-        _scan(f"132-avoidance iff h_(i+1) >= h_i - 1, all permutations, n<={heights_bar}", height_criterion()),
-    ]
+    def height_criterion(n: int, p: Permutation) -> bool:
+        hs = bijections.heights(p)
+        return all(b >= a - 1 for a, b in zip(hs, hs[1:])) == permutations.avoids(p, (1, 3, 2))
+
+    return _run([
+        (f"kappa equals reflect o complement o phi o reverse, n<={n_max}", n_max, avoiders,
+         _holds(factorization)),
+        (f"Set_X(kappa(w)) = Des(w) on 132-avoiders, n<={n_max}", n_max, avoiders, _holds(set_x)),
+        (f"Set_Y(kappa(w)) = {{n-j : j in iDes}} on 132-avoiders, n<={n_max}", n_max, avoiders,
+         _holds(set_y)),
+        (f"iDes = {{n-i-h_i : i in Des}} on 132-avoiders, n<={n_max}", n_max, avoiders,
+         _holds(ides_from_heights)),
+        (f"h drops exactly at ascents, all permutations, n<={heights_bar}", heights_bar, _all_perms,
+         drops_at_ascents),
+        (f"132-avoidance iff h_(i+1) >= h_i - 1, all permutations, n<={heights_bar}", heights_bar,
+         _all_perms, _holds(height_criterion)),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -260,25 +251,19 @@ def suite_kappa(n_max: int = 8, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 def suite_inv_area(n_max: int = 8, max_n: int = DEFAULT_MAX_N) -> list[Check]:
-    def bridge() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            for p in _avoiders(n, (2, 3, 1), max_n):
-                image = dyck.valley_complement(bijections.phi(p, check=False))
-                if dyck.area(image) != permutations.perm_stats(p).inv:
-                    yield str(p)
-                    return
+    def bridge(n: int, p: Permutation) -> bool:
+        image = dyck.valley_complement(bijections.phi(p, check=False))
+        return dyck.area(image) == permutations.perm_stats(p).inv
 
-    def beta_carries_inv() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            for p in _avoiders(n, (3, 1, 2), max_n):
-                if dyck.area(bijections.beta(p, check=False)) != permutations.perm_stats(p).inv:
-                    yield str(p)
-                    return
+    def beta_carries_inv(n: int, p: Permutation) -> bool:
+        return dyck.area(bijections.beta(p, check=False)) == permutations.perm_stats(p).inv
 
-    return [
-        _scan(f"inv(w) = area(complement(phi(w))) on 231-avoiders, n<={n_max}", bridge()),
-        _scan(f"area(beta(w)) = inv(w) on 312-avoiders, n<={n_max}", beta_carries_inv()),
-    ]
+    return _run([
+        (f"inv(w) = area(complement(phi(w))) on 231-avoiders, n<={n_max}", n_max,
+         _avoiders((2, 3, 1), max_n), _holds(bridge)),
+        (f"area(beta(w)) = inv(w) on 312-avoiders, n<={n_max}", n_max,
+         _avoiders((3, 1, 2), max_n), _holds(beta_carries_inv)),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -286,53 +271,32 @@ def suite_inv_area(n_max: int = 8, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 def suite_symmetry(n_max: int = 8, max_n: int = DEFAULT_MAX_N) -> list[Check]:
-    def a_symmetric() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            p = polynomials.a_poly(n, max_n=max_n)
-            if polynomials.qt_swap(p) != p:
-                yield f"n={n}"
-                return
+    def a(n: int) -> polynomials.MultiPoly:
+        return polynomials.a_poly(n, max_n=max_n)
 
-    def cat_symmetric() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            p = polynomials.cat_qt(n, max_n=max_n)
-            if polynomials.qt_swap(p) != p:
-                yield f"n={n}"
-                return
+    def cat(n: int) -> polynomials.MultiPoly:
+        return polynomials.cat_qt(n, max_n=max_n)
 
-    def routes_agree() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            if polynomials.a_poly(n, max_n=max_n) != polynomials.a_poly_via_paths(n, max_n=max_n):
-                yield f"n={n}"
-                return
+    def symmetric(p: polynomials.MultiPoly) -> bool:
+        return polynomials.qt_swap(p) == p
 
-    def specializations() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            mac = polynomials.macmahon_q_catalan(n, max_n=max_n)
-            quot = polynomials.macmahon_q_catalan_quotient(n)
-            a_shift = polynomials.t_to_q_inverse_shifted(polynomials.a_poly(n, max_n=max_n), n)
-            cat_shift = polynomials.t_to_q_inverse_shifted(polynomials.cat_qt(n, max_n=max_n), n)
-            if not (mac == quot == a_shift == cat_shift):
-                yield f"n={n}"
-                return
+    def specializations(n: int) -> bool:
+        mac = polynomials.macmahon_q_catalan(n, max_n=max_n)
+        quot = polynomials.macmahon_q_catalan_quotient(n)
+        a_shift = polynomials.t_to_q_inverse_shifted(a(n), n)
+        cat_shift = polynomials.t_to_q_inverse_shifted(cat(n), n)
+        return mac == quot == a_shift == cat_shift
 
-    def counts() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            if polynomials.cat_qt(n, max_n=max_n).evaluate() != _catalan(n):
-                yield f"n={n}"
-                return
-
-    return [
-        _scan(f"A_n(q,t) = A_n(t,q), n<={n_max}", a_symmetric()),
-        _scan(f"Cat_n(q,t) = Cat_n(t,q), n<={n_max}", cat_symmetric()),
-        _scan(f"permutation and path routes to A_n agree, n<={n_max}", routes_agree()),
-        _scan(
-            f"q^C(n,2) A_n(q,1/q) = maj q-Catalan = binomial quotient = "
-            f"q^C(n,2) Cat_n(q,1/q), n<={n_max}",
-            specializations(),
-        ),
-        _scan(f"Cat_n(1,1) is the Catalan number, n<={n_max}", counts()),
-    ]
+    return _run([
+        _per_n(f"A_n(q,t) = A_n(t,q), n<={n_max}", n_max, lambda n: symmetric(a(n))),
+        _per_n(f"Cat_n(q,t) = Cat_n(t,q), n<={n_max}", n_max, lambda n: symmetric(cat(n))),
+        _per_n(f"permutation and path routes to A_n agree, n<={n_max}", n_max,
+               lambda n: a(n) == polynomials.a_poly_via_paths(n, max_n=max_n)),
+        _per_n(f"q^C(n,2) A_n(q,1/q) = maj q-Catalan = binomial quotient = "
+               f"q^C(n,2) Cat_n(q,1/q), n<={n_max}", n_max, specializations),
+        _per_n(f"Cat_n(1,1) is the Catalan number, n<={n_max}", n_max,
+               lambda n: cat(n).evaluate() == _catalan(n)),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +304,11 @@ def suite_symmetry(n_max: int = 8, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 def suite_gf(n_max: int = 6, max_n: int = DEFAULT_MAX_N) -> list[Check]:
-    def residuals() -> Iterator[str]:
+    def residual() -> str | None:
         res = polynomials.verify_gf_identity(n_max, max_n=max_n)
-        for order, poly in enumerate(res):
-            if not poly.is_zero:
-                yield f"order {order}: {poly}"
-                return
+        return next((f"order {k}: {poly}" for k, poly in enumerate(res) if not poly.is_zero), None)
 
-    return [_scan(f"expansion-of-1 residuals vanish through z^{n_max}", residuals())]
+    return _run([_fact(f"expansion-of-1 residuals vanish through z^{n_max}", residual)])
 
 
 # ---------------------------------------------------------------------------
@@ -356,39 +317,25 @@ def suite_gf(n_max: int = 6, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 
 def _drop_a(p: polynomials.MultiPoly) -> polynomials.MultiPoly:
     """Specialize a = 1 by collapsing the a-exponent."""
-    out: dict = {}
-    for (ea, eq, et), c in p.terms():
-        key = (0, eq, et)
-        out[key] = out.get(key, 0) + c
+    out: Counter = Counter()
+    for (_, eq, et), c in p.terms():
+        out[0, eq, et] += c
     return polynomials.MultiPoly(out)
 
 
 def suite_tristat(n_max: int = 7, max_n: int = DEFAULT_MAX_N) -> list[Check]:
-    def pair(plain: int, complemented: int) -> Callable[[], Iterator[str]]:
-        def run() -> Iterator[str]:
-            for n in range(1, n_max + 1):
-                lhs = polynomials.tristat_gf(n, plain, "plain", max_n=max_n)
-                rhs = polynomials.tristat_gf(n, complemented, "complemented", max_n=max_n)
-                if lhs != rhs:
-                    yield f"n={n}"
-                    return
+    def gf(n: int, pattern: int, orientation: str) -> polynomials.MultiPoly:
+        return polynomials.tristat_gf(n, pattern, orientation, max_n=max_n)
 
-        return run
+    def agree(plain: int, complemented: int) -> Callable[[int], bool]:
+        return lambda n: gf(n, plain, "plain") == gf(n, complemented, "complemented")
 
-    def survives_a_one() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            lhs = _drop_a(polynomials.tristat_gf(n, 132, "plain", max_n=max_n))
-            rhs = _drop_a(polynomials.tristat_gf(n, 213, "complemented", max_n=max_n))
-            if lhs != rhs:
-                yield f"n={n}"
-                return
-
-    return [
-        _scan(f"231-plain equals 312-complemented, n<={n_max}", pair(231, 312)()),
-        _scan(f"132-plain equals 213-complemented, n<={n_max}", pair(132, 213)()),
-        _scan(f"123-plain equals 321-complemented, n<={n_max}", pair(123, 321)()),
-        _scan(f"132/213 identity survives a=1, n<={n_max}", survives_a_one()),
-    ]
+    return _run([
+        *(_per_n(f"{a}-plain equals {b}-complemented, n<={n_max}", n_max, agree(a, b))
+          for a, b in ((231, 312), (132, 213), (123, 321))),
+        _per_n(f"132/213 identity survives a=1, n<={n_max}", n_max,
+               lambda n: _drop_a(gf(n, 132, "plain")) == _drop_a(gf(n, 213, "complemented"))),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -396,72 +343,48 @@ def suite_tristat(n_max: int = 7, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 def suite_rsk_j(n_max: int = 7, max_n: int = DEFAULT_MAX_N) -> list[Check]:
-    def all_perms(n: int):
-        return (Permutation(w) for w in itertools.permutations(range(1, n + 1)))
+    def roundtrip(n: int, p: Permutation) -> bool:
+        return tableaux.inverse_rsk(*tableaux.rsk(p)) == p
 
-    def roundtrip() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            for p in all_perms(n):
-                P, Q = tableaux.rsk(p)
-                if tableaux.inverse_rsk(P, Q) != p:
-                    yield str(p)
-                    return
+    def descent_transport(n: int, p: Permutation) -> bool:
+        P, Q = tableaux.rsk(p)
+        d = permutations.descent_data(p)
+        return tableaux.tableau_descents(Q) == d.des and tableaux.tableau_descents(P) == d.ides
 
-    def descent_transport() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            for p in all_perms(n):
-                P, Q = tableaux.rsk(p)
-                d = permutations.descent_data(p)
-                if tableaux.tableau_descents(Q) != d.des or tableaux.tableau_descents(P) != d.ides:
-                    yield str(p)
-                    return
+    def avoidance_is_two_rows(n: int, p: Permutation) -> bool:
+        return (len(tableaux.rsk(p)[0].shape) <= 2) == permutations.avoids(p, (3, 2, 1))
 
-    def avoidance_is_two_rows() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            for p in all_perms(n):
-                P, _ = tableaux.rsk(p)
-                if (len(P.shape) <= 2) != permutations.avoids(p, (3, 2, 1)):
-                    yield str(p)
-                    return
+    def evacuation(n: int, T: tableaux.StandardTableau) -> str | None:
+        image = tableaux.evacuation(T)
+        if image.shape != T.shape:
+            return f"shape changed: {T}"
+        if tableaux.evacuation(image) != T:
+            return f"not an involution: {T}"
+        if {n - i for i in tableaux.tableau_descents(T)} != tableaux.tableau_descents(image):
+            return f"descents wrong: {T}"
+        return None
 
-    def evacuation_props() -> Iterator[str]:
-        bar = min(n_max + 1, 8)
-        for n in range(1, bar + 1):
-            for T in tableaux.standard_tableaux(n):
-                image = tableaux.evacuation(T)
-                if image.shape != T.shape:
-                    yield f"shape changed: {T}"
-                    return
-                if tableaux.evacuation(image) != T:
-                    yield f"not an involution: {T}"
-                    return
-                want = {n - i for i in tableaux.tableau_descents(T)}
-                if tableaux.tableau_descents(image) != want:
-                    yield f"descents wrong: {T}"
-                    return
+    def j_props(n: int, p: Permutation) -> str | None:
+        image = tableaux.j_involution(p, check=False)
+        if not permutations.avoids(image, (3, 2, 1)):
+            return f"image leaves the class: {p}"
+        if tableaux.j_involution(image, check=False) != p:
+            return f"not an involution: {p}"
+        d, di = permutations.descent_data(p), permutations.descent_data(image)
+        if di.des != d.des or di.ides != {n - j for j in d.ides}:
+            return f"descent transport wrong: {p}"
+        return None
 
-    def j_props() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            for p in _avoiders(n, (3, 2, 1), max_n):
-                image = tableaux.j_involution(p, check=False)
-                if not permutations.avoids(image, (3, 2, 1)):
-                    yield f"image leaves the class: {p}"
-                    return
-                if tableaux.j_involution(image, check=False) != p:
-                    yield f"not an involution: {p}"
-                    return
-                d, di = permutations.descent_data(p), permutations.descent_data(image)
-                if di.des != d.des or di.ides != {n - j for j in d.ides}:
-                    yield f"descent transport wrong: {p}"
-                    return
-
-    return [
-        _scan(f"inverse RSK round-trips all permutations, n<={n_max}", roundtrip()),
-        _scan(f"Des(w)=Des(Q) and iDes(w)=Des(P), n<={n_max}", descent_transport()),
-        _scan(f"321-avoidance iff at most two rows, n<={n_max}", avoidance_is_two_rows()),
-        _scan("evacuation: involution, shape, descent complement (tableaux)", evacuation_props()),
-        _scan(f"j: involution on 321-avoiders fixing Des, reversing iDes, n<={n_max}", j_props()),
-    ]
+    return _run([
+        (f"inverse RSK round-trips all permutations, n<={n_max}", n_max, _all_perms, _holds(roundtrip)),
+        (f"Des(w)=Des(Q) and iDes(w)=Des(P), n<={n_max}", n_max, _all_perms, _holds(descent_transport)),
+        (f"321-avoidance iff at most two rows, n<={n_max}", n_max, _all_perms,
+         _holds(avoidance_is_two_rows)),
+        ("evacuation: involution, shape, descent complement (tableaux)", min(n_max + 1, 8),
+         tableaux.standard_tableaux, evacuation),
+        (f"j: involution on 321-avoiders fixing Des, reversing iDes, n<={n_max}", n_max,
+         _avoiders((3, 2, 1), max_n), j_props),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -469,55 +392,41 @@ def suite_rsk_j(n_max: int = 7, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 def suite_kd(n_max: int = 8, max_n: int = DEFAULT_MAX_N) -> list[Check]:
-    checks: list[Check] = []
+    def search(n: int, exhaustive: bool) -> polynomials.KdResult:
+        return polynomials.kd_search(n, all_assignments=exhaustive, max_n=max_n)
 
-    def exists() -> Iterator[str]:
-        for n in range(1, n_max + 1):
-            try:
-                polynomials.kd_search(n, all_assignments=False, max_n=max_n)
-            except polynomials.NoAssignment as exc:
-                yield f"n={n}: {exc}"
-                return
+    def exists(n: int, _) -> str | None:
+        try:
+            search(n, False)
+        except polynomials.NoAssignment as exc:
+            return f"n={n}: {exc}"
+        return None
 
-    checks.append(_scan(f"a shift assignment exists for every n<={n_max}", exists()))
+    def unique_zero() -> str | None:
+        found = search(3, True).assignments
+        return f"got {len(found)} assignments" if len(found) != 1 or any(found[0].values()) else None
 
+    def two_at_four() -> str | None:
+        summaries = sorted(
+            ",".join(f"{D}:{k}" for D, k in sorted(a.items(), key=lambda x: str(x[0])) if k)
+            for a in search(4, True).assignments
+        )
+        return None if summaries == ["00011101:1", "01010011:1"] else f"got {summaries}"
+
+    def complement_swaps() -> str | None:
+        a, b = dyck.parse_path("01010011"), dyck.parse_path("00011101")
+        if dyck.valley_complement(a) == b and dyck.valley_complement(b) == a:
+            return None
+        return "complement does not swap the two special paths"
+
+    rows = [(f"a shift assignment exists for every n<={n_max}", n_max, _size, exists)]
     if n_max >= 3:
-        def unique_zero() -> Iterator[str]:
-            result = polynomials.kd_search(3, all_assignments=True, max_n=max_n)
-            if len(result.assignments) != 1 or any(result.assignments[0].values()):
-                yield f"got {len(result.assignments)} assignments"
-
-        checks.append(_scan("n=3: the all-zero assignment is unique", unique_zero()))
-
+        rows.append(_fact("n=3: the all-zero assignment is unique", unique_zero))
     if n_max >= 4:
-        def two_at_four() -> Iterator[str]:
-            result = polynomials.kd_search(4, all_assignments=True, max_n=max_n)
-            summaries = sorted(
-                ",".join(f"{D}:{k}" for D, k in sorted(a.items(), key=lambda x: str(x[0])) if k)
-                for a in result.assignments
-            )
-            if summaries != ["00011101:1", "01010011:1"]:
-                yield f"got {summaries}"
-
-        checks.append(
-            _scan(
-                "n=4: exactly two assignments (k=1 on 00011101 or on 01010011)",
-                two_at_four(),
-                note="k=1 on 00011101, else 0; or k=1 on 01010011, else 0",
-            )
-        )
-
-        def complement_swaps() -> Iterator[str]:
-            a = dyck.parse_path("01010011")
-            b = dyck.parse_path("00011101")
-            if dyck.valley_complement(a) != b or dyck.valley_complement(b) != a:
-                yield "complement does not swap the two special paths"
-
-        checks.append(
-            _scan("valley complement swaps 01010011 and 00011101", complement_swaps())
-        )
-
-    return checks
+        rows.append(_fact("n=4: exactly two assignments (k=1 on 00011101 or on 01010011)", two_at_four,
+                          "k=1 on 00011101, else 0; or k=1 on 01010011, else 0"))
+        rows.append(_fact("valley complement swaps 01010011 and 00011101", complement_swaps))
+    return _run(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -538,16 +447,25 @@ SUITES: dict[str, tuple[Callable[..., list[Check]], int]] = {
 
 
 def run_suite(name: str, n_max: int | None = None, max_n: int = DEFAULT_MAX_N) -> list[Check]:
-    """Run one suite (or 'all'); unknown names raise ValueError."""
+    """Run one suite (or 'all') up to ``n_max``, or to each suite's default bar.
+
+    Unknown names and a bar below 1 raise ValueError.
+
+    >>> [c.passed for c in run_suite("inv-area", 3)]
+    [True, True]
+    >>> run_suite("kd", 0)
+    Traceback (most recent call last):
+    ...
+    ValueError: size bar must be at least 1, got 0
+    """
     if name == "all":
-        out: list[Check] = []
-        for suite_name in SUITES:
-            out.extend(run_suite(suite_name, n_max=n_max, max_n=max_n))
-        return out
+        return [check for suite in SUITES for check in run_suite(suite, n_max=n_max, max_n=max_n)]
     try:
         func, default_bar = SUITES[name]
     except KeyError:
         known = ", ".join([*SUITES, "all"])
         raise ValueError(f"unknown suite {name!r}; choose from: {known}") from None
     bar = default_bar if n_max is None else n_max
+    if bar < 1:
+        raise ValueError(f"size bar must be at least 1, got {bar}")
     return func(bar, max_n=max_n)

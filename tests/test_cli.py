@@ -6,7 +6,51 @@ import pytest
 
 from catbij import a_poly, cat_qt, verification
 from catbij.cli import main
-from catbij.verification import Check, _scan, run_suite
+from catbij.verification import Check, _failures, _scan, run_suite
+
+# The check lines of ``catbij verify all 4``: check names and details are fixed output.
+ALL_4_CHECKS = """\
+PASS  phi bijects 231-avoiders onto Dyck paths, n<=4
+PASS  maj(phi(w)) = maj(w) + imaj(w), n<=4
+PASS  valley sets of phi(w) are (Des, iDes), n<=4
+PASS  (maj1, maj0) of phi(w) is (maj, imaj), n<=4
+PASS  iDes = {w_i - 1 : i in Des} on 231-avoiders, n<=4
+PASS  |Des| = |iDes| on 132/231/312/213-avoiders, n<=4
+PASS  witness [2,4,1,3]: 123-avoiding, |Des|=1 but |iDes|=2
+PASS  values after an ascent exceed it (231), n<=4
+PASS  j >= w_j + run-before-j at ascents (231), n<=4
+PASS  consecutive ascents: j_l >= w(j_l+1) - 1 (231), n<=4
+PASS  sorted Des <= iDes elementwise (231), n<=4
+PASS  reconstruct_231 round-trips descent data, n<=4
+PASS  kappa equals reflect o complement o phi o reverse, n<=4
+PASS  Set_X(kappa(w)) = Des(w) on 132-avoiders, n<=4
+PASS  Set_Y(kappa(w)) = {n-j : j in iDes} on 132-avoiders, n<=4
+PASS  iDes = {n-i-h_i : i in Des} on 132-avoiders, n<=4
+PASS  h drops exactly at ascents, all permutations, n<=4
+PASS  132-avoidance iff h_(i+1) >= h_i - 1, all permutations, n<=4
+PASS  inv(w) = area(complement(phi(w))) on 231-avoiders, n<=4
+PASS  area(beta(w)) = inv(w) on 312-avoiders, n<=4
+PASS  A_n(q,t) = A_n(t,q), n<=4
+PASS  Cat_n(q,t) = Cat_n(t,q), n<=4
+PASS  permutation and path routes to A_n agree, n<=4
+PASS  q^C(n,2) A_n(q,1/q) = maj q-Catalan = binomial quotient = q^C(n,2) Cat_n(q,1/q), n<=4
+PASS  Cat_n(1,1) is the Catalan number, n<=4
+PASS  expansion-of-1 residuals vanish through z^4
+PASS  231-plain equals 312-complemented, n<=4
+PASS  132-plain equals 213-complemented, n<=4
+PASS  123-plain equals 321-complemented, n<=4
+PASS  132/213 identity survives a=1, n<=4
+PASS  inverse RSK round-trips all permutations, n<=4
+PASS  Des(w)=Des(Q) and iDes(w)=Des(P), n<=4
+PASS  321-avoidance iff at most two rows, n<=4
+PASS  evacuation: involution, shape, descent complement (tableaux)
+PASS  j: involution on 321-avoiders fixing Des, reversing iDes, n<=4
+PASS  a shift assignment exists for every n<=4
+PASS  n=3: the all-zero assignment is unique
+PASS  n=4: exactly two assignments (k=1 on 00011101 or on 01010011)  \
+[k=1 on 00011101, else 0; or k=1 on 01010011, else 0]
+PASS  valley complement swaps 01010011 and 00011101
+""".splitlines()
 
 
 def run(capsys, *argv):
@@ -188,6 +232,22 @@ class TestVerifyCommand:
         code, _, _ = run(capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "suite,checks",
+        [("all", ALL_4_CHECKS), ("kd", ALL_4_CHECKS[-4:])],
+    )
+    def test_recorded_output_at_bar_4(self, capsys, suite, checks):
+        code, out, _ = run(capsys, "verify", suite, "4")
+        assert code == 0
+        assert out == "\n".join([*checks, f"{len(checks)}/{len(checks)} checks passed", ""])
+
+    @pytest.mark.parametrize("suite,bar", [("phi", "0"), ("all", "-1")])
+    def test_bar_below_one_is_exit_2(self, capsys, suite, bar):
+        code, out, err = run(capsys, "verify", suite, bar)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: size bar must be at least 1, got {bar}\n"
+
 
 class TestVerificationSuites:
     def test_scan_reports_first_counterexample(self):
@@ -195,6 +255,19 @@ class TestVerificationSuites:
         assert not check.passed
         assert check.detail == "counterexample: first"
         assert _scan("demo", iter([])).passed
+
+        consumed = []
+
+        def domain(n):
+            for x in "abcd":
+                consumed.append((n, x))
+                yield x
+
+        failing = {(3, "a"), (2, "d"), (2, "b"), (4, "a")}
+        failures = _failures(4, domain, lambda n, x: f"{x}@{n}" if (n, x) in failing else None)
+        check = _scan("demo", failures)
+        assert check.detail == "counterexample: b@2"
+        assert consumed == [(1, "a"), (1, "b"), (1, "c"), (1, "d"), (2, "a"), (2, "b")]
 
     @pytest.mark.parametrize(
         "suite", ["phi", "lemmas", "kappa-factorization", "inv-area", "tristat", "rsk-j"]
@@ -216,3 +289,7 @@ class TestVerificationSuites:
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("nonsense")
+
+    def test_bar_below_one_raises(self):
+        with pytest.raises(ValueError, match="size bar must be at least 1, got 0"):
+            run_suite("kd", n_max=0)

@@ -8,6 +8,7 @@ import catbij.dyck
 import catbij.permutations
 import catbij.polynomials
 import catbij.tableaux
+import catbij.verification
 
 MODULES = [
     catbij.permutations,
@@ -15,6 +16,7 @@ MODULES = [
     catbij.bijections,
     catbij.tableaux,
     catbij.polynomials,
+    catbij.verification,
 ]
 
 

@@ -9,14 +9,16 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 parse error or bad
 arguments, 3 pattern precondition violation, 4 enumeration ceiling.
-All regular output goes to stdout, diagnostics to stderr; identical
-invocations produce byte-identical output.
+A reader that closes stdout early (``catbij ... | head``) is not an error:
+output stops silently with exit 0.  All regular output goes to stdout,
+diagnostics to stderr; identical invocations produce byte-identical output.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import bijections, dyck, permutations, polynomials, tableaux, verification
@@ -43,16 +45,24 @@ _BIJECTIONS = {
 }
 
 
-def _perm_stats_line(p: permutations.Permutation) -> str:
-    s = permutations.perm_stats(p)
-    return f"des={s.des} maj={s.maj} imaj={s.imaj}"
+# statistic names, in the order of the values from _perm_row / _path_row
+_PERM_FIELDS = ("des", "maj", "imaj", "inv")
+_PATH_FIELDS = ("maj", "maj0", "maj1", "area", "bounce")
 
-def _path_stats_line(D: dyck.DyckPath) -> str:
+
+def _perm_row(p: permutations.Permutation) -> tuple[int, ...]:
+    s = permutations.perm_stats(p)
+    return (s.des, s.maj, s.imaj, s.inv)
+
+
+def _path_row(D: dyck.DyckPath) -> tuple[int, ...]:
     s = dyck.path_stats(D)
-    return (
-        f"maj={s.maj} maj0={s.maj0} maj1={s.maj1} "
-        f"area={dyck.area(D)} bounce={dyck.bounce(D)}"
-    )
+    return (s.maj, s.maj0, s.maj1, dyck.area(D), dyck.bounce(D))
+
+
+def _stats_text(fields: tuple[str, ...], row: tuple[int, ...]) -> str:
+    """``k=v`` pairs joined by spaces, e.g. ``des=1 maj=2 imaj=3``."""
+    return " ".join(f"{k}={v}" for k, v in zip(fields, row))
 
 
 def _cmd_map(args) -> int:
@@ -69,9 +79,9 @@ def _cmd_map(args) -> int:
     image = func(source)
     print(image)
     if isinstance(image, dyck.DyckPath):
-        print(_path_stats_line(image))
+        print(_stats_text(_PATH_FIELDS, _path_row(image)))
     else:
-        print(_perm_stats_line(image))
+        print(_stats_text(_PERM_FIELDS[:3], _perm_row(image)))
     return EXIT_OK
 
 
@@ -120,7 +130,7 @@ def _cmd_enumerate(args) -> int:
             (str(D),) + _path_row(D)
             for D in dyck.enumerate_dyck(args.n, max_n=args.max_n)
         )
-        header = ("word", "maj", "maj0", "maj1", "area", "bounce")
+        header = ("word", *_PATH_FIELDS)
     elif kind.startswith("avoiders:"):
         pattern = kind.split(":", 1)[1]
         rows = (
@@ -129,32 +139,26 @@ def _cmd_enumerate(args) -> int:
                 args.n, int(pattern), max_n=args.max_n
             )
         )
-        header = ("word", "des", "maj", "imaj", "inv")
+        header = ("word", *_PERM_FIELDS)
     else:
         print(f"unknown kind {kind!r}; use dyck or avoiders:<pattern>", file=sys.stderr)
         return EXIT_PARSE
 
     if args.format == "lines":
         for row in rows:
-            stats = " ".join(f"{k}={v}" for k, v in zip(header[1:], row[1:]))
-            print(f"{row[0]}  {stats}")
+            print(f"{row[0]}  {_stats_text(header[1:], row[1:])}")
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     else:
-        print(json.dumps([dict(zip(header, row)) for row in rows]))
+        # the bytes of json.dumps(list_of_rows), written row by row
+        write = sys.stdout.write
+        write("[")
+        for i, row in enumerate(rows):
+            write((", " if i else "") + json.dumps(dict(zip(header, row))))
+        write("]\n")
     return EXIT_OK
-
-
-def _perm_row(p: permutations.Permutation) -> tuple[int, ...]:
-    s = permutations.perm_stats(p)
-    return (s.des, s.maj, s.imaj, s.inv)
-
-
-def _path_row(D: dyck.DyckPath) -> tuple[int, ...]:
-    s = dyck.path_stats(D)
-    return (s.maj, s.maj0, s.maj1, dyck.area(D), dyck.bounce(D))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,7 +207,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must surface here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone; send the interpreter's final flush to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except PatternViolation as exc:
         print(f"pattern violation: {exc}", file=sys.stderr)
         return EXIT_PATTERN

@@ -14,7 +14,8 @@
 - ``verify_gf_identity``-- truncated-series residuals of the expansion of 1
                            into the bistatistic summands,
 - ``kd_search``         -- nonnegative per-path shifts matching the
-                           (maj1, C(n,2)-maj0) bistatistic onto cat_qt.
+                           (maj1, C(n,2)-maj0) bistatistic onto cat_qt, by a
+                           greedy fill of the diagonals alpha - beta.
 """
 from __future__ import annotations
 
@@ -487,24 +488,20 @@ class KdResult:
 
 
 def _compatibility(n: int, max_n: int):
-    """Paths, their compatible target monomials with forced shifts, and the
-    target multiplicities."""
-    shift = comb(n, 2)
-    target: dict[tuple[int, int], int] = {}
-    for (_, eq, et), c in cat_qt(n, max_n=max_n).terms():
-        target[(eq, et)] = c
+    """Paths, their options with forced shifts, and the target multiplicities.
+    The target is indexed by diagonal, alpha - beta + C(n,2) = maj, and a
+    path's options are the part alpha <= maj1 of its diagonal, sorted by alpha."""
+    target = {(eq, et): c for (_, eq, et), c in cat_qt(n, max_n=max_n).terms()}
+    diagonals: dict[int, list[tuple[int, int]]] = {}
+    for alpha, beta in sorted(target):
+        diagonals.setdefault(alpha - beta + comb(n, 2), []).append((alpha, beta))
     paths = sorted(enumerate_dyck(n, max_n=max_n), key=str)
     options: dict[DyckPath, list[tuple[tuple[int, int], int]]] = {}
     for D in paths:
         s = path_stats(D)
-        opts = []
-        for (alpha, beta) in sorted(target):
-            k = s.maj1 - alpha
-            if k >= 0 and shift - s.maj0 - beta == k:
-                opts.append(((alpha, beta), k))
-        if not opts:
+        options[D] = [(m, s.maj1 - m[0]) for m in diagonals.get(s.maj, []) if m[0] <= s.maj1]
+        if not options[D]:
             raise NoAssignment(f"path {D} matches no target monomial at n={n}")
-        options[D] = opts
     return paths, options, target
 
 
@@ -530,31 +527,19 @@ def _all_assignments(paths, options, capacity):
 
 
 def _one_assignment(paths, options, capacity):
-    """Augmenting-path matching of paths onto capacitated monomials."""
-    holders: dict[tuple[int, int], list[DyckPath]] = {m: [] for m in capacity}
-    where: dict[DyckPath, tuple[tuple[int, int], int]] = {}
-
-    def try_place(D, visited) -> bool:
-        for mono, k in options[D]:
-            if mono in visited:
-                continue
-            visited.add(mono)
-            if len(holders[mono]) < capacity[mono]:
-                holders[mono].append(D)
-                where[D] = (mono, k)
-                return True
-            for other in list(holders[mono]):
-                if try_place(other, visited):
-                    holders[mono].remove(other)
-                    holders[mono].append(D)
-                    where[D] = (mono, k)
-                    return True
-        return False
-
+    """Greedy, exact by Hall's condition: fewest options first, each path on
+    its first monomial with room left.  Lists sharing a monomial are nested
+    prefixes of one diagonal, so a full prefix plus this path violates Hall."""
+    chosen: dict[DyckPath, int] = {}
     for D in sorted(paths, key=lambda D: (len(options[D]), str(D))):
-        if not try_place(D, set()):
+        for mono, k in options[D]:
+            if capacity[mono] > 0:
+                capacity[mono] -= 1
+                chosen[D] = k
+                break
+        else:
             raise NoAssignment(f"no perfect matching extends through path {D}")
-    return {D: k for D, (mono, k) in where.items()}
+    return chosen
 
 
 def kd_search(
@@ -565,13 +550,16 @@ def kd_search(
     """Find nonnegative shifts k_D aligning the (maj1, C(n,2)-maj0) pairs of
     all Dyck paths with the monomial multiset of cat_qt(n).
 
-    A path is compatible with a target monomial (alpha, beta) exactly when
-    maj1 - alpha = C(n,2) - maj0 - beta >= 0, which forces its shift; the
-    search is then a perfect matching onto monomials with multiplicity.
+    A path fits a target monomial (alpha, beta) exactly when alpha - beta =
+    maj - C(n,2) and alpha <= maj1, which forces its shift maj1 - alpha.
+    Backtracking lists every assignment (the default for n <= 5, see
+    ``exhaustive``), a greedy fill of the diagonals finds one; raises
+    NoAssignment when none exists.
 
-    By default the complete assignment set is enumerated for n <= 5 and a
-    single assignment is reported above that (``exhaustive`` says which).
-    Raises NoAssignment when no assignment exists.
+    >>> len(kd_search(4).assignments)
+    2
+    >>> kd_search(7, all_assignments=False).exhaustive
+    False
     """
     if all_assignments is None:
         all_assignments = n <= 5

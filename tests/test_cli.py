@@ -1,10 +1,25 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from catbij import a_poly, cat_qt, verification
+import catbij
+from catbij import (
+    a_poly,
+    area,
+    bounce,
+    cat_qt,
+    enumerate_avoiders,
+    enumerate_dyck,
+    path_stats,
+    perm_stats,
+    verification,
+)
 from catbij.cli import main
 from catbij.verification import Check, _failures, _scan, run_suite
 
@@ -185,6 +200,37 @@ class TestEnumerate:
         data = json.loads(out)
         assert len(data) == 5
         assert data[0] == {"word": "[1,2,3]", "des": 0, "maj": 0, "imaj": 0, "inv": 0}
+        rows = []
+        for p in enumerate_avoiders(3, 132):
+            s = perm_stats(p)
+            rows.append({"word": str(p), "des": s.des, "maj": s.maj, "imaj": s.imaj, "inv": s.inv})
+        assert out == json.dumps(rows) + "\n"
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_dyck_json(self, capsys, n):
+        code, out, _ = run(capsys, "enumerate", "dyck", str(n), "--format", "json")
+        assert code == 0
+        rows = []
+        for D in enumerate_dyck(n):
+            s = path_stats(D)
+            rows.append({"word": str(D), "maj": s.maj, "maj0": s.maj0, "maj1": s.maj1,
+                         "area": area(D), "bounce": bounce(D)})
+        assert out == json.dumps(rows) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["lines", "csv", "json"])
+    def test_closed_pipe_is_exit_0(self, fmt):
+        # The reader takes the start of the output and hangs up, as `| head` does.
+        src = str(Path(catbij.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "catbij", "enumerate", "dyck", "11", "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert os.read(proc.stdout.fileno(), 100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
 
     def test_unknown_kind_is_exit_2(self, capsys):
         code, _, _ = run(capsys, "enumerate", "ballot", "3")

@@ -274,7 +274,7 @@ class TestKdSearch:
 
         from catbij import enumerate_dyck, path_stats
 
-        for n in (3, 4, 5):
+        for n in range(3, 9):  # every assignment for n <= 5, a single one above
             result = kd_search(n)
             shift = comb(n, 2)
             target = {(eq, et): c for (_, eq, et), c in cat_qt(n).terms()}
@@ -287,6 +287,28 @@ class TestKdSearch:
                     key = (s.maj1 - k, shift - s.maj0 - k)
                     got[key] = got.get(key, 0) + 1
                 assert got == target
+
+    def test_options_are_diagonal_prefixes(self):
+        # The greedy in single mode is exact because of this nesting.
+        from math import comb
+
+        from catbij import path_stats
+        from catbij.polynomials import _compatibility
+
+        for n in range(1, 9):
+            paths, options, target = _compatibility(n, max_n=12)
+            for D in paths:
+                s = path_stats(D)
+                diagonal = sorted(m for m in target if m[0] - m[1] == s.maj - comb(n, 2))
+                monos = [mono for mono, _ in options[D]]
+                assert monos == diagonal[: len(monos)]
+                assert all(alpha > s.maj1 for alpha, _ in diagonal[len(monos):])
+                assert [k for _, k in options[D]] == [s.maj1 - alpha for alpha, _ in monos]
+
+    def test_single_assignment_is_among_all(self):
+        for n in range(1, 6):
+            single = kd_search(n, all_assignments=False).assignments[0]
+            assert single in kd_search(n).assignments
 
     def test_single_mode(self):
         result = kd_search(6, all_assignments=False)

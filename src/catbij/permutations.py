@@ -10,10 +10,11 @@ Conventions used throughout the package:
   and is load-bearing: every descent block is followed by an ascent.
 - ``ides``/``imaj`` are the descent set / major index of the inverse.
 
-The pattern machinery exists in two forms: a naive subsequence scan
-(``contains_naive``, works for any pattern length, serves as the oracle) and
-linear recognizers for the six patterns of length 3 (used by ``contains`` and
-the enumeration stream).
+Pattern containment has one test for the six patterns of length 3: does
+appending a value to an avoiding prefix complete an occurrence that ends at
+that value?  ``contains`` asks it at every position of a word and the avoider
+stream asks it of every candidate extension.  The naive subsequence scan
+``contains_naive`` works for any pattern length and remains the oracle.
 """
 from __future__ import annotations
 
@@ -172,48 +173,30 @@ def _pattern_word(pattern) -> tuple[int, ...]:
     return Permutation(tuple(pattern)).word
 
 
-def _has_132(word: Sequence[int]) -> bool:
-    # Right-to-left scan.  The stack holds decreasing candidates for the
-    # largest element of the pattern; ``mid`` is the largest value known to
-    # have a larger element somewhere to its left.
-    mid = None
-    stack: list[int] = []
-    for v in reversed(word):
-        if mid is not None and v < mid:
+def _completes(prefix: Sequence[int], v: int, pattern: tuple[int, ...]) -> bool:
+    """True iff prefix + [v] has an occurrence of the pattern ending at v,
+    given that prefix avoids the pattern.
+
+    For a length-3 pattern (a, b, c) this is one left-to-right pass: ``first``
+    is the least (if a < b) or greatest (if a > b) earlier value on a's side
+    of v, and a later value on b's side of v closes an occurrence when it
+    lies beyond ``first`` in that order.  Other lengths use the naive scan.
+
+    >>> _completes([2, 3], 1, (2, 3, 1)), _completes([3, 2], 1, (2, 3, 1))
+    (True, False)
+    """
+    if len(pattern) != 3:
+        return contains_naive([*prefix, v], pattern)
+    a, b, c = pattern
+    a_below, b_below, rising = a < c, b < c, a < b
+    first = None
+    for x in prefix:
+        below = x < v
+        if below == b_below and first is not None and (first < x) == rising:
             return True
-        while stack and v > stack[-1]:
-            mid = stack.pop()
-        stack.append(v)
+        if below == a_below and (first is None or (x < first) == rising):
+            first = x
     return False
-
-
-def _has_123(word: Sequence[int]) -> bool:
-    # lo = minimum so far; mid = smallest value with a smaller one before it.
-    lo = mid = None
-    for v in word:
-        if mid is not None and v > mid:
-            return True
-        if lo is None or v < lo:
-            lo = v
-        elif v > lo and (mid is None or v < mid):
-            mid = v
-    return False
-
-
-def _neg(word: Sequence[int]) -> list[int]:
-    return [-v for v in word]
-
-
-# Each length-3 pattern reduces to the 132 or 123 scan after reversal and/or
-# negation, both of which act bijectively on pattern occurrences.
-_FAST_RECOGNIZERS = {
-    (1, 3, 2): lambda w: _has_132(w),
-    (2, 3, 1): lambda w: _has_132(list(reversed(w))),
-    (3, 1, 2): lambda w: _has_132(_neg(w)),
-    (2, 1, 3): lambda w: _has_132(list(reversed(_neg(w)))),
-    (1, 2, 3): lambda w: _has_123(w),
-    (3, 2, 1): lambda w: _has_123(_neg(w)),
-}
 
 
 def contains_naive(p: Permutation | Sequence[int], pattern) -> bool:
@@ -234,14 +217,14 @@ def contains_naive(p: Permutation | Sequence[int], pattern) -> bool:
 def contains(p: Permutation | Sequence[int], pattern) -> bool:
     """True iff some subsequence of p is order-isomorphic to the pattern.
 
-    Uses a linear recognizer for the six patterns of length 3, the naive
-    scan otherwise.
+    A length-3 pattern is found by asking, at each position k, whether
+    word[k] completes an occurrence ending there; longer patterns use the
+    naive scan.
     """
     word = p.word if isinstance(p, Permutation) else tuple(p)
     pat = _pattern_word(pattern)
-    fast = _FAST_RECOGNIZERS.get(pat)
-    if fast is not None:
-        return fast(word)
+    if len(pat) == 3:
+        return any(_completes(word[:k], word[k], pat) for k in range(len(word)))
     return contains_naive(word, pat)
 
 
@@ -263,17 +246,15 @@ def enumerate_avoiders(
 ) -> Iterator[Permutation]:
     """Stream all pattern-avoiding permutations of {1..n} in lex order.
 
-    Depth-first generation over avoiding prefixes: pattern containment is
-    monotone under extension, so pruning a containing prefix is sound and the
-    stream is exhaustive and duplicate-free.
+    Depth-first generation over avoiding prefixes, each extended only by the
+    values that complete no occurrence ending at them; containment is
+    monotone under extension, so the stream is exhaustive and duplicate-free.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > max_n:
         raise CeilingExceeded(n, max_n)
     pat = _pattern_word(pattern)
-    fast = _FAST_RECOGNIZERS.get(pat)
-    has = fast if fast is not None else (lambda w: contains_naive(w, pat))
 
     prefix: list[int] = []
     free = [True] * (n + 1)
@@ -283,12 +264,11 @@ def enumerate_avoiders(
             yield Permutation(tuple(prefix))
             return
         for v in range(1, n + 1):
-            if not free[v]:
+            if not free[v] or _completes(prefix, v, pat):
                 continue
             prefix.append(v)
             free[v] = False
-            if not has(prefix):
-                yield from walk()
+            yield from walk()
             prefix.pop()
             free[v] = True
 

@@ -221,8 +221,7 @@ def q_binomial(k: int, l: int) -> MultiPoly:
     for kk in range(1, k + 1):
         new = [MultiPoly.one()]
         for ll in range(1, kk):
-            shifted = MultiPoly.term(1, q=ll) * row[ll] if ll < len(row) else MultiPoly.zero()
-            new.append(row[ll - 1] + shifted)
+            new.append(row[ll - 1] + MultiPoly.term(1, q=ll) * row[ll])
         new.append(MultiPoly.one())
         row = new
     return row[l]
@@ -276,20 +275,16 @@ def a_poly(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
     >>> str(a_poly(2))
     'q + t'
     """
-    if n == 0:
-        return MultiPoly.one()
-    shift = comb(n, 2)
     stats = map(perm_stats, enumerate_avoiders(n, (2, 3, 1), max_n=max_n))
+    shift = comb(n, 2)
     return _tally((0, s.maj, shift - s.imaj) for s in stats)
 
 
 def a_poly_via_paths(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
     """Independent route to ``a_poly``: sum over Dyck paths of
     q^maj1 t^(C(n,2)-maj0)."""
-    if n == 0:
-        return MultiPoly.one()
-    shift = comb(n, 2)
     stats = map(path_stats, enumerate_dyck(n, max_n=max_n))
+    shift = comb(n, 2)
     return _tally((0, s.maj1, shift - s.maj0) for s in stats)
 
 
@@ -339,8 +334,8 @@ def tristat_gf(
         raise ValueError(f"pattern must be one of {sorted(_PATTERNS)}") from None
     if orientation not in ("plain", "complemented"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    shift = comb(n, 2)
     stats = map(perm_stats, enumerate_avoiders(n, pat, max_n=max_n))
+    shift = comb(n, 2)
     if orientation == "plain":
         return _tally((s.des, s.maj, s.imaj) for s in stats)
     return _tally((n - 1 - s.des, shift - s.maj, shift - s.imaj) for s in stats)

@@ -168,6 +168,13 @@ class TestPoly:
         code, _, _ = run(capsys, "poly", "tristat:231:sideways", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["a", "cat", "macmahon", "tristat:231:plain"])
+    def test_n_below_one_is_exit_2(self, capsys, kind):
+        code, out, err = run(capsys, "poly", kind, "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: n must be at least 1\n"
+
     def test_ceiling_is_exit_4(self, capsys):
         code, _, err = run(capsys, "--max-n", "3", "poly", "a", "4")
         assert code == 4

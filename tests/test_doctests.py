@@ -1,5 +1,6 @@
-"""Run the usage examples embedded in the package docstrings."""
+"""Run the usage examples embedded in the package docstrings and the README."""
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -23,5 +24,12 @@ MODULES = [
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_module_doctests(module):
     result = doctest.testmod(module)
+    assert result.attempted > 0
+    assert result.failed == 0
+
+
+def test_readme_quick_start():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0

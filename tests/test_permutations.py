@@ -166,6 +166,16 @@ class TestEnumeration:
     def test_n10_312_count(self):
         assert sum(1 for _ in enumerate_avoiders(10, 312)) == 16796
 
+    @pytest.mark.parametrize(
+        "pattern",
+        [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1), (2, 4, 1, 3), (1, 2), (2, 1)],
+        ids=lambda pattern: "".join(map(str, pattern)),
+    )
+    def test_stream_is_the_lex_filter_of_the_oracle(self, pattern):
+        for n in range(1, 8):
+            want = [w for w in itertools.permutations(range(1, n + 1)) if not contains_naive(w, pattern)]
+            assert [p.word for p in enumerate_avoiders(n, pattern)] == want
+
     def test_every_emitted_permutation_avoids(self):
         for p in enumerate_avoiders(6, 132):
             assert avoids(p, (1, 3, 2))

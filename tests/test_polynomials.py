@@ -162,7 +162,9 @@ class TestPolynomialZoo:
     def test_a_poly_goldens(self):
         for n, want in A_GOLDEN.items():
             assert a_poly(n) == want
-        assert a_poly(0) == MultiPoly.one()
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                a_poly(n)
 
     def test_cat_goldens(self):
         assert cat_qt(1) == MultiPoly.one()
@@ -175,7 +177,7 @@ class TestPolynomialZoo:
             assert cat_qt(n).evaluate() == CATALAN[n]
 
     def test_two_routes_agree(self):
-        for n in range(0, 8):
+        for n in range(1, 8):
             assert a_poly(n) == a_poly_via_paths(n)
 
     def test_macmahon_small(self):

@@ -89,24 +89,27 @@ class PathStats:
     maj1: int
 
 
+def _valley_points(steps: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (x, y) of every valley, left to right: the one valley walk."""
+    xs, ys = [], []
+    easts = 0
+    for i, s in enumerate(steps[:-1], start=1):
+        easts += s
+        if s == EAST and steps[i] == NORTH:
+            xs.append(easts)
+            ys.append(i - easts)
+    return tuple(xs), tuple(ys)
+
+
 def path_stats(D: DyckPath) -> PathStats:
     """Descent positions, their sum, and the per-letter prefix-count splits.
 
     maj0 (resp. maj1) sums, over all descents i, the number of 0's (resp.
-    1's) among the first i letters; maj0 + maj1 = maj by construction.
+    1's) among the first i letters: the y (resp. x) of the valley at i.
     """
-    steps = D.steps
-    des = []
-    maj0 = maj1 = 0
-    zeros = 0
-    for i in range(1, len(steps)):
-        if steps[i - 1] == NORTH:
-            zeros += 1
-        if steps[i - 1] == EAST and steps[i] == NORTH:
-            des.append(i)
-            maj0 += zeros
-            maj1 += i - zeros
-    return PathStats(des=frozenset(des), maj=sum(des), maj0=maj0, maj1=maj1)
+    xs, ys = _valley_points(D.steps)
+    des = frozenset(x + y for x, y in zip(xs, ys))
+    return PathStats(des=des, maj=sum(des), maj0=sum(ys), maj1=sum(xs))
 
 
 @dataclass(frozen=True)
@@ -157,14 +160,8 @@ def valleys(D: DyckPath) -> ValleySet:
     >>> v.xs, v.ys
     ((1, 2, 4, 5), (1, 3, 4, 5))
     """
-    xs, ys = [], []
-    easts = 0
-    for i, s in enumerate(D.steps[:-1], start=1):
-        easts += s
-        if s == EAST and D.steps[i] == NORTH:
-            xs.append(easts)
-            ys.append(i - easts)
-    return ValleySet(n=D.n, xs=tuple(xs), ys=tuple(ys))
+    xs, ys = _valley_points(D.steps)
+    return ValleySet(n=D.n, xs=xs, ys=ys)
 
 
 def from_valleys(v: ValleySet) -> DyckPath:
@@ -241,39 +238,35 @@ def valley_complement(D: DyckPath) -> DyckPath:
 
 
 def reflect(D: DyckPath) -> DyckPath:
-    """The involution mapping each valley (x, y) to (n-y, n-x).
-
-    Geometrically this is reflection along the antidiagonal, i.e. reversing
-    the word and swapping the step letters.
-    """
-    v = valleys(D)
-    n = D.n
-    pairs = sorted((n - y, n - x) for x, y in zip(v.xs, v.ys))
-    xs = tuple(x for x, _ in pairs)
-    ys = tuple(y for _, y in pairs)
-    return from_valleys(ValleySet(n=n, xs=xs, ys=ys))
+    """Reflection along the antidiagonal: reverse the word and swap the step
+    letters.  An involution that maps each valley (x, y) to (n-y, n-x)."""
+    return DyckPath(tuple(1 - s for s in reversed(D.steps)))
 
 
 def enumerate_dyck(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[DyckPath]:
-    """Stream all Dyck paths of semilength n in lex order of the step word."""
+    """Stream all Dyck paths of semilength n in lex order of the step word.
+    A successor makes the rightmost north step that starts above the diagonal
+    an east step, then puts the remaining north steps before the east steps."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > max_n:
         raise CeilingExceeded(n, max_n)
 
-    steps: list[int] = []
+    def walk() -> Iterator[DyckPath]:
+        steps = (NORTH,) * n + (EAST,) * n
+        while True:
+            yield DyckPath(steps)
+            # scan right to left; the north step at j starts at height ones - zeros - 1
+            zeros = ones = 0
+            for j in range(2 * n - 1, 0, -1):
+                if steps[j] == EAST:
+                    ones += 1
+                elif ones - zeros > 1:
+                    break
+                else:
+                    zeros += 1
+            else:
+                return
+            steps = steps[:j] + (EAST,) + (NORTH,) * (zeros + 1) + (EAST,) * (ones - 1)
 
-    def walk(zeros: int, ones: int) -> Iterator[DyckPath]:
-        if zeros == n and ones == n:
-            yield DyckPath(tuple(steps))
-            return
-        if zeros < n:
-            steps.append(NORTH)
-            yield from walk(zeros + 1, ones)
-            steps.pop()
-        if ones < zeros:
-            steps.append(EAST)
-            yield from walk(zeros, ones + 1)
-            steps.pop()
-
-    return walk(0, 0)
+    return walk()

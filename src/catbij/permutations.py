@@ -249,6 +249,8 @@ def enumerate_avoiders(
     Depth-first generation over avoiding prefixes, each extended only by the
     values that complete no occurrence ending at them; containment is
     monotone under extension, so the stream is exhaustive and duplicate-free.
+    The walk is a loop: position k resumes after ``tried[k]``, the last
+    value tried there, and a position with no value left backtracks.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -256,21 +258,26 @@ def enumerate_avoiders(
         raise CeilingExceeded(n, max_n)
     pat = _pattern_word(pattern)
 
-    prefix: list[int] = []
-    free = [True] * (n + 1)
-
     def walk() -> Iterator[Permutation]:
-        if len(prefix) == n:
-            yield Permutation(tuple(prefix))
-            return
-        for v in range(1, n + 1):
-            if not free[v] or _completes(prefix, v, pat):
+        prefix: list[int] = []
+        free = [True] * (n + 1)
+        tried = [0] * (n + 1)
+        while True:
+            k = len(prefix)
+            if k == n:
+                yield Permutation(tuple(prefix))
+            for v in range(tried[k] + 1, n + 1):
+                if free[v] and not _completes(prefix, v, pat):
+                    break
+            else:
+                if not prefix:
+                    return
+                tried[k] = 0
+                free[prefix.pop()] = True
                 continue
+            tried[k] = v
             prefix.append(v)
             free[v] = False
-            yield from walk()
-            prefix.pop()
-            free[v] = True
 
     return walk()
 

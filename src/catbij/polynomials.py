@@ -227,39 +227,6 @@ def q_binomial(k: int, l: int) -> MultiPoly:
     return row[l]
 
 
-def _exact_div_q(numerator: MultiPoly, denominator: MultiPoly) -> MultiPoly:
-    """Exact division of polynomials in q alone; raises ArithmeticError if
-    the division leaves a remainder or needs non-integer coefficients."""
-
-    def dense(p: MultiPoly) -> list[int]:
-        coeffs: dict[int, int] = {}
-        for (ea, eq, et), c in p.terms():
-            if ea or et:
-                raise ArithmeticError("operands must be polynomials in q alone")
-            coeffs[eq] = c
-        deg = max(coeffs, default=0)
-        return [coeffs.get(e, 0) for e in range(deg + 1)]
-
-    num = dense(numerator)
-    den = dense(denominator)
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
-    quot = [0] * (len(num) - len(den) + 1)
-    for top in range(len(num) - 1, len(den) - 2, -1):
-        pos = top - len(den) + 1
-        coef, rem = divmod(num[top], den[-1])
-        if rem:
-            raise ArithmeticError("inexact coefficient in polynomial division")
-        quot[pos] = coef
-        for i, d in enumerate(den):
-            num[pos + i] -= coef * d
-    if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
-    return MultiPoly({(0, e, 0): c for e, c in enumerate(quot) if c})
-
-
 # ---------------------------------------------------------------------------
 # the polynomial zoo
 # ---------------------------------------------------------------------------
@@ -299,12 +266,19 @@ def macmahon_q_catalan(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
 
 
 def macmahon_q_catalan_quotient(n: int) -> MultiPoly:
-    """Independent route: q_binomial(2n, n) / [n+1]_q by exact division.
+    """Independent route: the quotient q_binomial(2n, n) / [n+1]_q, computed
+    without division as q_binomial(2n, n) - q * q_binomial(2n, n+1).
 
-    An inexact division here signals an implementation bug and raises
-    ArithmeticError.
+    The two agree because q_binomial(2n, n+1) = q_binomial(2n, n) [n]_q /
+    [n+1]_q and [n+1]_q - q [n]_q = 1 (Fuerlinger and Hofbauer, "q-Catalan
+    numbers", J. Combin. Theory Ser. A 40, 1985).
+
+    >>> str(macmahon_q_catalan_quotient(3))
+    'q^6 + q^4 + q^3 + q^2 + 1'
     """
-    return _exact_div_q(q_binomial(2 * n, n), q_int(n + 1))
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return q_binomial(2 * n, n) - Q * q_binomial(2 * n, n + 1)
 
 
 _PATTERNS = {
@@ -490,7 +464,7 @@ def _compatibility(n: int, max_n: int):
     diagonals: dict[int, list[tuple[int, int]]] = {}
     for alpha, beta in sorted(target):
         diagonals.setdefault(alpha - beta + comb(n, 2), []).append((alpha, beta))
-    paths = sorted(enumerate_dyck(n, max_n=max_n), key=str)
+    paths = list(enumerate_dyck(n, max_n=max_n))  # lex order is str order
     options: dict[DyckPath, list[tuple[tuple[int, int], int]]] = {}
     for D in paths:
         s = path_stats(D)

@@ -178,6 +178,8 @@ def j_involution(p: Permutation, check: bool = True) -> Permutation:
 def standard_tableaux(n: int) -> Iterator[StandardTableau]:
     """All standard Young tableaux with n cells, any shape, by placing
     1, 2, ..., n at every addable corner (lex order on growth choices)."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     rows: list[list[int]] = []
 
     def walk(k: int) -> Iterator[StandardTableau]:

@@ -25,6 +25,7 @@ from math import comb
 from typing import Any, Callable, Iterable, Iterator
 
 from . import bijections, dyck, permutations, polynomials, tableaux
+from .errors import CeilingExceeded
 from .permutations import DEFAULT_MAX_N, Permutation
 
 Test = Callable[[int, Any], "str | None"]
@@ -304,6 +305,9 @@ def suite_symmetry(n_max: int = 8, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 def suite_gf(n_max: int = 6, max_n: int = DEFAULT_MAX_N) -> list[Check]:
+    if n_max + 1 > max_n:  # the order-N identity needs A_(N+1)
+        raise CeilingExceeded(max_n + 1, max_n)
+
     def residual() -> str | None:
         res = polynomials.verify_gf_identity(n_max, max_n=max_n)
         return next((f"order {k}: {poly}" for k, poly in enumerate(res) if not poly.is_zero), None)
@@ -449,7 +453,8 @@ SUITES: dict[str, tuple[Callable[..., list[Check]], int]] = {
 def run_suite(name: str, n_max: int | None = None, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     """Run one suite (or 'all') up to ``n_max``, or to each suite's default bar.
 
-    Unknown names and a bar below 1 raise ValueError.
+    Unknown names and a bar below 1 raise ValueError; a bar above the
+    ceiling raises CeilingExceeded before any check runs.
 
     >>> [c.passed for c in run_suite("inv-area", 3)]
     [True, True]
@@ -468,4 +473,6 @@ def run_suite(name: str, n_max: int | None = None, max_n: int = DEFAULT_MAX_N) -
     bar = default_bar if n_max is None else n_max
     if bar < 1:
         raise ValueError(f"size bar must be at least 1, got {bar}")
+    if bar > max_n:
+        raise CeilingExceeded(max_n + 1, max_n)
     return func(bar, max_n=max_n)

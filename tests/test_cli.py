@@ -10,6 +10,7 @@ import pytest
 
 import catbij
 from catbij import (
+    CeilingExceeded,
     a_poly,
     area,
     bounce,
@@ -224,12 +225,21 @@ class TestEnumerate:
                          "area": area(D), "bounce": bounce(D)})
         assert out == json.dumps(rows) + "\n"
 
-    @pytest.mark.parametrize("fmt", ["lines", "csv", "json"])
-    def test_closed_pipe_is_exit_0(self, fmt):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(pytest.param(["enumerate", "dyck", "11", "--format", fmt], id=fmt)
+              for fmt in ("lines", "csv", "json")),
+            # streams far deeper than the recursion limit
+            pytest.param(["--max-n", "600", "enumerate", "dyck", "600"], id="dyck-600"),
+            pytest.param(["--max-n", "1200", "enumerate", "avoiders:231", "1200"], id="avoiders-1200"),
+        ],
+    )
+    def test_closed_pipe_is_exit_0(self, argv):
         # The reader takes the start of the output and hangs up, as `| head` does.
         src = str(Path(catbij.__file__).resolve().parents[1])
         proc = subprocess.Popen(
-            [sys.executable, "-m", "catbij", "enumerate", "dyck", "11", "--format", fmt],
+            [sys.executable, "-m", "catbij", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": src},
         )
@@ -346,3 +356,14 @@ class TestVerificationSuites:
     def test_bar_below_one_raises(self):
         with pytest.raises(ValueError, match="size bar must be at least 1, got 0"):
             run_suite("kd", n_max=0)
+
+    @pytest.mark.parametrize("suite,bar", [("all", 4), ("gf-identity", 3)])
+    def test_ceiling_is_checked_before_any_check_runs(self, monkeypatch, suite, bar):
+        # gf-identity at order 3 needs A_4, one above the ceiling
+        def no_checks(*args):
+            raise AssertionError("a check ran before the ceiling was applied")
+
+        monkeypatch.setattr(verification, "_failures", no_checks)
+        with pytest.raises(CeilingExceeded) as info:
+            run_suite(suite, bar, max_n=3)
+        assert (info.value.n, info.value.max_n) == (4, 3)

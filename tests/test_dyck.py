@@ -34,10 +34,6 @@ def area_oracle(D):
     return sum(max(0, h - (x + 1)) for x, h in enumerate(heights))
 
 
-def reverse_complement(D):
-    return DyckPath(tuple(1 - s for s in reversed(D.steps)))
-
-
 class TestParsing:
     def test_blanks_are_grouping_only(self):
         assert RUNNING.n == 6
@@ -75,6 +71,19 @@ class TestStats:
     def test_single_peak_has_no_descents(self):
         s = path_stats(parse_path("000111"))
         assert s.des == set() and s.maj == s.maj0 == s.maj1 == 0
+
+    def test_prefix_count_oracle(self):
+        # a descent is each "10" in the word, at the position of its 1;
+        # maj0 and maj1 count the 0s and 1s up to that position
+        for n in range(1, 9):
+            for D in enumerate_dyck(n):
+                word = str(D)
+                des = [i for i in range(1, 2 * n) if word[i - 1 : i + 1] == "10"]
+                s = path_stats(D)
+                assert s.des == set(des)
+                assert s.maj == sum(des)
+                assert s.maj0 == sum(word[:i].count("0") for i in des)
+                assert s.maj1 == sum(word[:i].count("1") for i in des)
 
     def test_split_partitions_maj(self):
         for n in range(1, 9):
@@ -167,10 +176,15 @@ class TestInvolutions:
         steep = DyckPath((0,) * 5 + (1,) * 5)
         assert reflect(steep) == steep
 
-    def test_reflect_is_involution_and_matches_reverse_complement(self):
-        for D in enumerate_dyck(6):
-            assert reflect(reflect(D)) == D
-            assert reflect(D) == reverse_complement(D)
+    def test_reflect_is_involution_and_maps_valleys(self):
+        # oracle: each valley (x, y) goes to (n-y, n-x)
+        for n in range(1, 9):
+            for D in enumerate_dyck(n):
+                v = valleys(D)
+                want = sorted((n - y, n - x) for x, y in zip(v.xs, v.ys))
+                image = valleys(reflect(D))
+                assert list(zip(image.xs, image.ys)) == want
+                assert reflect(reflect(D)) == D
 
     def test_reflect_commutes_with_complement(self):
         for D in enumerate_dyck(6):
@@ -193,8 +207,9 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_dyck(10)) == 16796
 
     def test_lex_order_no_duplicates(self):
-        words = [str(D) for D in enumerate_dyck(5)]
-        assert words == sorted(set(words))
+        for n in range(1, 10):
+            words = [str(D) for D in enumerate_dyck(n)]
+            assert words == sorted(set(words))
 
     def test_ceiling(self):
         with pytest.raises(CeilingExceeded):

@@ -20,7 +20,7 @@ from catbij import (
     tristat_gf,
     verify_gf_identity,
 )
-from catbij.polynomials import Q, T, _exact_div_q
+from catbij.polynomials import Q, T
 from conftest import CATALAN
 
 _exponents = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
@@ -149,13 +149,10 @@ class TestExactDivision:
         for n in range(1, 8):
             assert macmahon_q_catalan_quotient(n) == macmahon_q_catalan(n)
 
-    def test_inexact_division_raises(self):
-        with pytest.raises(ArithmeticError):
-            _exact_div_q(Q * Q + MultiPoly.one(), Q + MultiPoly.one())
-
-    def test_multivariate_operand_rejected(self):
-        with pytest.raises(ArithmeticError):
-            _exact_div_q(Q + T, Q)
+    def test_quotient_rejects_n_below_one(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be at least 1"):
+                macmahon_q_catalan_quotient(n)
 
 
 class TestPolynomialZoo:

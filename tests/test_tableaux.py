@@ -135,6 +135,11 @@ class TestEnumerateTableaux:
         seen = set(standard_tableaux(5))
         assert len(seen) == INVOLUTION_COUNTS[5]
 
+    def test_n_below_one_is_rejected_on_call(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be at least 1"):
+                standard_tableaux(n)
+
 
 class TestJInvolution:
     def test_identity_fixed(self):

@@ -78,10 +78,12 @@ from .polynomials import (
     TruncatedSeries,
     a_poly,
     a_poly_via_paths,
+    avoider_poly,
     cat_qt,
     kd_search,
     macmahon_q_catalan,
     macmahon_q_catalan_quotient,
+    path_poly,
     q_binomial,
     q_int,
     qt_swap,

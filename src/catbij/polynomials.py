@@ -1,37 +1,48 @@
 """Exact sparse polynomials in a, q, t and the package's polynomial zoo.
 
 ``MultiPoly`` stores nonzero integer coefficients keyed by exponent triples
-(e_a, e_q, e_t); all arithmetic is exact.  On top of it:
+(e_a, e_q, e_t); all arithmetic is exact.  On top of it, each polynomial of
+size n has a route, an oracle the tests check the route against, and the n
+up to which they check it:
 
-- ``a_poly``            -- sum over 231-avoiders of q^maj t^(C(n,2)-imaj),
-                           with an independent Dyck-path route
-                           (``a_poly_via_paths``) that must agree,
-- ``cat_qt``            -- sum over Dyck paths of q^area t^bounce,
-- ``macmahon_q_catalan``-- sum over Dyck paths of q^maj, with an independent
-                           quotient route via the q-binomial coefficient,
+- ``a_poly``            -- sum over 231-avoiders of q^maj t^(C(n,2)-imaj);
+                           valley DP; oracles ``avoider_poly`` and
+                           ``a_poly_via_paths`` (``path_poly``), n <= 9,
+- ``cat_qt``            -- sum over Dyck paths of q^area t^bounce;
+                           Garsia-Haglund recursion; oracle ``path_poly``,
+                           n <= 9,
+- ``macmahon_q_catalan``-- sum over Dyck paths of q^maj; valley DP; oracle
+                           ``path_poly``, n <= 9, and the quotient route via
+                           the q-binomial coefficient,
 - ``tristat_gf``        -- a^des q^maj t^imaj over a pattern class, plainly
-                           or complemented,
+                           or complemented; valley DP for 231, 312, 132 and
+                           213, oracle ``avoider_poly``, n <= 8; enumeration
+                           (``avoider_poly`` itself) for 123 and 321,
 - ``verify_gf_identity``-- truncated-series residuals of the expansion of 1
                            into the bistatistic summands,
 - ``kd_search``         -- nonnegative per-path shifts matching the
                            (maj1, C(n,2)-maj0) bistatistic onto cat_qt, by a
                            greedy fill of the diagonals alpha - beta.
+
+The closed routes enumerate nothing, yet keep the size rules of the
+streams: n < 1 raises ValueError and n > max_n raises CeilingExceeded.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import partial
 from math import comb
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import json
 
-from .dyck import DyckPath, area, bounce, enumerate_dyck, path_stats
-from .errors import NegativeExponent, NoAssignment
+from .dyck import DyckPath, enumerate_dyck, path_stats
+from .errors import CeilingExceeded, NegativeExponent, NoAssignment
 from .permutations import (
     DEFAULT_MAX_N,
+    PermStats,
     enumerate_avoiders,
-    inverse,
     perm_stats,
 )
 
@@ -208,61 +219,161 @@ def q_int(k: int) -> MultiPoly:
     return MultiPoly({(0, e, 0): 1 for e in range(k)})
 
 
+def _pascal(m: int) -> list[list[MultiPoly]]:
+    """Rows 0..m of Gaussian binomials, rows[k][l] = [k, l]_q, by the Pascal
+    recurrence [k, l] = [k-1, l-1] + q^l [k-1, l]; no rational arithmetic."""
+    rows = [[MultiPoly.one()]]
+    for k in range(1, m + 1):
+        prev = rows[-1]
+        middle = (prev[l - 1] + MultiPoly.term(1, q=l) * prev[l] for l in range(1, k))
+        rows.append([MultiPoly.one(), *middle, MultiPoly.one()])
+    return rows
+
+
 def q_binomial(k: int, l: int) -> MultiPoly:
-    """Gaussian binomial coefficient via the Pascal recurrence
-    [k, l] = [k-1, l-1] + q^l [k-1, l]; no rational arithmetic involved.
+    """Gaussian binomial coefficient [k, l]_q, read from the Pascal table.
 
     >>> str(q_binomial(4, 2))
     'q^4 + q^3 + 2*q^2 + q + 1'
     """
     if not 0 <= l <= k:
         raise ValueError(f"need 0 <= l <= k, got k={k}, l={l}")
-    row = [MultiPoly.one()]  # row for k' = 0
-    for kk in range(1, k + 1):
-        new = [MultiPoly.one()]
-        for ll in range(1, kk):
-            new.append(row[ll - 1] + MultiPoly.term(1, q=ll) * row[ll])
-        new.append(MultiPoly.one())
-        row = new
-    return row[l]
+    return _pascal(k)[k][l]
 
 
 # ---------------------------------------------------------------------------
-# the polynomial zoo
+# the enumerative oracles
 # ---------------------------------------------------------------------------
 
-def _tally(keys: Iterable[Exponents]) -> MultiPoly:
-    """The polynomial whose coefficients count the exponent keys in a stream."""
-    return MultiPoly(Counter(keys))
+def path_poly(
+    n: int,
+    key: Callable[[DyckPath], Exponents],
+    max_n: int = DEFAULT_MAX_N,
+) -> MultiPoly:
+    """Oracle: the sum over Dyck paths D of semilength n of the monomial
+    with exponents key(D).
+
+    >>> str(path_poly(3, lambda D: (0, path_stats(D).maj, 0)))
+    'q^6 + q^4 + q^3 + q^2 + 1'
+    """
+    return MultiPoly(Counter(map(key, enumerate_dyck(n, max_n=max_n))))
+
+
+def avoider_poly(
+    n: int,
+    pattern,
+    key: Callable[[PermStats], Exponents],
+    max_n: int = DEFAULT_MAX_N,
+) -> MultiPoly:
+    """Oracle: the sum over the pattern-avoiders w of size n of the monomial
+    with exponents key(perm_stats(w)).
+
+    >>> str(avoider_poly(3, 231, lambda s: (s.des, s.maj, s.imaj)))
+    'a^2*q^3*t^3 + a*q^2*t^2 + a*q*t^2 + a*q*t + 1'
+    """
+    stats = map(perm_stats, enumerate_avoiders(n, pattern, max_n=max_n))
+    return MultiPoly(Counter(map(key, stats)))
+
+
+# ---------------------------------------------------------------------------
+# closed routes: the valley DP and the Garsia-Haglund recursion
+# ---------------------------------------------------------------------------
+
+def _check_size(n: int, max_n: int) -> None:
+    """The size rules of the enumeration streams, for routes that enumerate nothing."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > max_n:
+        raise CeilingExceeded(n, max_n)
+
+
+def _valley_gf(n: int) -> Counter:
+    """Dyck paths of semilength n counted by (valleys, sum of x, sum of y).
+
+    A transfer DP over the state (norths i, easts j, last step was east).  A
+    north step right after an east step closes a valley at x = j, y = i (the
+    convention of ``dyck._valley_points``), so it sends the key (k, X, Y) to
+    (k + 1, X + j, Y + i).
+    """
+    layer = {(0, 0, False): Counter({(0, 0, 0): 1})}
+    for _ in range(2 * n):
+        following: defaultdict[tuple[int, int, bool], Counter] = defaultdict(Counter)
+        for (i, j, east), gf in layer.items():
+            if i < n:
+                north = following[i + 1, j, False]
+                if east:
+                    for (k, x, y), c in gf.items():
+                        north[k + 1, x + j, y + i] += c
+                else:
+                    north.update(gf)
+            if j < i:
+                following[i, j + 1, True].update(gf)
+        layer = following
+    return layer[n, n, True]
+
+
+def _valley_poly(n: int, max_n: int, key: Callable[[int, int, int], Exponents]) -> MultiPoly:
+    """The valley DP mapped term by term: (k, X, Y) becomes key(k, X, Y)."""
+    _check_size(n, max_n)
+    out: Counter = Counter()
+    for (k, x, y), c in _valley_gf(n).items():
+        out[key(k, x, y)] += c
+    return MultiPoly(out)
 
 
 def a_poly(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
     """Bistatistic polynomial: sum over 231-avoiders of q^maj t^(C(n,2)-imaj).
 
+    ``phi`` carries (maj, imaj) to (sum of x, sum of y) over the valleys, so
+    this is a term map of the valley DP.
+
     >>> str(a_poly(2))
     'q + t'
     """
-    stats = map(perm_stats, enumerate_avoiders(n, (2, 3, 1), max_n=max_n))
-    shift = comb(n, 2)
-    return _tally((0, s.maj, shift - s.imaj) for s in stats)
+    return _valley_poly(n, max_n, lambda k, x, y: (0, x, comb(n, 2) - y))
 
 
 def a_poly_via_paths(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
-    """Independent route to ``a_poly``: sum over Dyck paths of
-    q^maj1 t^(C(n,2)-maj0)."""
-    stats = map(path_stats, enumerate_dyck(n, max_n=max_n))
-    shift = comb(n, 2)
-    return _tally((0, s.maj1, shift - s.maj0) for s in stats)
+    """Oracle for ``a_poly``: sum over Dyck paths of q^maj1 t^(C(n,2)-maj0)."""
+    return path_poly(n, lambda D: (0, (s := path_stats(D)).maj1, comb(n, 2) - s.maj0), max_n)
 
 
 def cat_qt(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
-    """q,t-Catalan polynomial: sum over Dyck paths of q^area t^bounce."""
-    return _tally((0, area(D), bounce(D)) for D in enumerate_dyck(n, max_n=max_n))
+    """q,t-Catalan polynomial: sum over Dyck paths of q^area t^bounce.
+
+    Computed as the sum over k of F_(n,k), where F_(0,0) = 1, F_(m,0) = 0 for
+    m >= 1 and
+
+        F_(m,k) = t^(m-k) q^C(k,2) sum_(r=0..m-k) [r+k-1, r]_q F_(m-k,r)
+
+    (Garsia and Haglund, "A proof of the q,t-Catalan positivity conjecture",
+    Discrete Math. 256, 2002).
+
+    >>> str(cat_qt(3))
+    'q^3 + q^2*t + q*t^2 + q*t + t^3'
+    """
+    _check_size(n, max_n)
+    binomial = _pascal(n - 1)
+    F = [[MultiPoly.one()]]  # F[m][k]
+    for m in range(1, n + 1):
+        row = [MultiPoly.zero()]
+        for k in range(1, m + 1):
+            inner = MultiPoly.zero()
+            for r in range(m - k + 1):
+                inner = inner + binomial[r + k - 1][r] * F[m - k][r]
+            row.append(MultiPoly.term(1, q=comb(k, 2), t=m - k) * inner)
+        F.append(row)
+    return sum(F[n], MultiPoly.zero())
 
 
 def macmahon_q_catalan(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
-    """Major-index q-Catalan: sum over Dyck paths of q^maj."""
-    return _tally((0, s.maj, 0) for s in map(path_stats, enumerate_dyck(n, max_n=max_n)))
+    """Major-index q-Catalan: sum over Dyck paths of q^maj, the q = t
+    specialization of the valley DP.
+
+    >>> str(macmahon_q_catalan(3))
+    'q^6 + q^4 + q^3 + q^2 + 1'
+    """
+    return _valley_poly(n, max_n, lambda k, x, y: (0, x + y, 0))
 
 
 def macmahon_q_catalan_quotient(n: int) -> MultiPoly:
@@ -278,7 +389,8 @@ def macmahon_q_catalan_quotient(n: int) -> MultiPoly:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    return q_binomial(2 * n, n) - Q * q_binomial(2 * n, n + 1)
+    binomial = _pascal(2 * n)[2 * n]
+    return binomial[n] - Q * binomial[n + 1]
 
 
 _PATTERNS = {
@@ -288,6 +400,17 @@ _PATTERNS = {
     213: (2, 1, 3),
     123: (1, 2, 3),
     321: (3, 2, 1),
+}
+
+# (des, maj, imaj) of a class as a term map of the valley DP's (k, X, Y):
+# phi sends 231-avoiders to paths with (Des, iDes) = (X, Y); 312-avoiders are
+# their inverses; kappa sends 132-avoiders to (X, {n - y}); 213 is the
+# reverse-complement of 132.
+_VALLEY_KEYS: dict[int, Callable[[int, int, int, int], Exponents]] = {
+    231: lambda n, k, x, y: (k, x, y),
+    312: lambda n, k, x, y: (k, y, x),
+    132: lambda n, k, x, y: (k, x, n * k - y),
+    213: lambda n, k, x, y: (k, n * k - x, y),
 }
 
 
@@ -301,6 +424,10 @@ def tristat_gf(
 
     plain:        sum of a^des q^maj t^imaj
     complemented: sum of a^(n-1-des) q^(C(n,2)-maj) t^(C(n,2)-imaj)
+
+    The plain form of 231, 312, 132 and 213 is a term map of the valley DP;
+    123 and 321 are enumerated.  The complemented form is a term map of the
+    plain one.
     """
     try:
         pat = _PATTERNS[pattern]
@@ -308,11 +435,14 @@ def tristat_gf(
         raise ValueError(f"pattern must be one of {sorted(_PATTERNS)}") from None
     if orientation not in ("plain", "complemented"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    stats = map(perm_stats, enumerate_avoiders(n, pat, max_n=max_n))
-    shift = comb(n, 2)
+    if pattern in _VALLEY_KEYS:
+        plain = _valley_poly(n, max_n, partial(_VALLEY_KEYS[pattern], n))
+    else:
+        plain = avoider_poly(n, pat, lambda s: (s.des, s.maj, s.imaj), max_n)
     if orientation == "plain":
-        return _tally((s.des, s.maj, s.imaj) for s in stats)
-    return _tally((n - 1 - s.des, shift - s.maj, shift - s.imaj) for s in stats)
+        return plain
+    shift = comb(n, 2)
+    return MultiPoly({(n - 1 - d, shift - a, shift - b): c for (d, a, b), c in plain.terms()})
 
 
 def qt_swap(p: MultiPoly) -> MultiPoly:
@@ -523,7 +653,8 @@ def kd_search(
     maj - C(n,2) and alpha <= maj1, which forces its shift maj1 - alpha.
     Backtracking lists every assignment (the default for n <= 5, see
     ``exhaustive``), a greedy fill of the diagonals finds one; raises
-    NoAssignment when none exists.
+    NoAssignment when none exists.  The complete set is too large to list
+    from n = 6 on, so asking for it there raises ValueError at once.
 
     >>> len(kd_search(4).assignments)
     2
@@ -532,6 +663,9 @@ def kd_search(
     """
     if all_assignments is None:
         all_assignments = n <= 5
+    if all_assignments and n > 5:
+        raise ValueError(f"exhaustive kd search is limited to n <= 5, got n={n}; "
+                         "pass all_assignments=False for one assignment")
     paths, options, target = _compatibility(n, max_n)
     if all_assignments:
         found = list(_all_assignments(paths, options, dict(target)))

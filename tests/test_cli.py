@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import catbij
 from catbij import (
@@ -73,6 +76,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_captured(*argv):
+    """Exit code, stdout and stderr of one in-process run, without a fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+_ORIENTATIONS = ("plain", "complemented")
+# selectors with a closed route, and the two tristat patterns that enumerate
+_CLOSED_SELECTORS = ["a", "cat", "macmahon",
+                     *(f"tristat:{p}:{o}" for p in (231, 312, 132, 213) for o in _ORIENTATIONS)]
+_ENUMERATED_SELECTORS = [f"tristat:{p}:{o}" for p in (123, 321) for o in _ORIENTATIONS]
+_POLY_ARGS = st.one_of(
+    st.tuples(st.sampled_from(_CLOSED_SELECTORS), st.integers(-2, 14)),
+    st.tuples(st.sampled_from(_ENUMERATED_SELECTORS), st.integers(-2, 6)),
+    st.tuples(st.text(max_size=12), st.integers(-2, 6)),
+)
 
 
 class TestMap:
@@ -180,6 +203,16 @@ class TestPoly:
         code, _, err = run(capsys, "--max-n", "3", "poly", "a", "4")
         assert code == 4
         assert "ceiling" in err
+
+    @settings(max_examples=30, deadline=None)
+    @given(_POLY_ARGS)
+    def test_generated_selectors(self, args):
+        selector, n = args
+        first = run_captured("poly", selector, str(n))
+        code, _, err = first
+        assert code in {0, 2, 3, 4}
+        assert "Traceback" not in err
+        assert run_captured("poly", selector, str(n)) == first
 
 
 class TestEnumerate:
@@ -348,6 +381,23 @@ class TestVerificationSuites:
         checks = run_suite("all", n_max=4)
         assert len(checks) >= 20
         assert all(c.passed for c in checks)
+
+    def test_rsk_checks_over_all_permutations_stop_at_7(self, monkeypatch):
+        bars = []
+
+        def record(bar, domain, test):
+            bars.append((bar, domain))
+            return iter(())
+
+        monkeypatch.setattr(verification, "_failures", record)
+        checks = run_suite("rsk-j", 9)
+        capped = [(c.name, bar) for c, (bar, domain) in zip(checks, bars) if domain is verification._all_perms]
+        assert capped == [
+            ("inverse RSK round-trips all permutations, n<=7", 7),
+            ("Des(w)=Des(Q) and iDes(w)=Des(P), n<=7", 7),
+            ("321-avoidance iff at most two rows, n<=7", 7),
+        ]
+        assert bars[-1][0] == 9  # the j check walks 321-avoiders only
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):

@@ -9,10 +9,15 @@ from catbij import (
     TruncatedSeries,
     a_poly,
     a_poly_via_paths,
+    area,
+    avoider_poly,
+    bounce,
     cat_qt,
     kd_search,
     macmahon_q_catalan,
     macmahon_q_catalan_quotient,
+    path_poly,
+    path_stats,
     q_binomial,
     q_int,
     qt_swap,
@@ -174,8 +179,41 @@ class TestPolynomialZoo:
             assert cat_qt(n).evaluate() == CATALAN[n]
 
     def test_two_routes_agree(self):
-        for n in range(1, 8):
-            assert a_poly(n) == a_poly_via_paths(n)
+        for n in range(1, 10):
+            shift = n * (n - 1) // 2
+            oracle = avoider_poly(n, 231, lambda s: (0, s.maj, shift - s.imaj))
+            assert a_poly(n) == oracle == a_poly_via_paths(n)
+
+    @pytest.mark.parametrize(
+        "route,key",
+        [
+            (cat_qt, lambda D: (0, area(D), bounce(D))),
+            (macmahon_q_catalan, lambda D: (0, path_stats(D).maj, 0)),
+        ],
+        ids=["cat", "macmahon"],
+    )
+    def test_closed_route_matches_path_oracle(self, route, key):
+        for n in range(1, 10):
+            want = path_poly(n, key)
+            assert route(n) == want
+            assert str(route(n)) == str(want)
+
+    def test_closed_routes_at_14_enumerate_nothing(self, monkeypatch):
+        import catbij.polynomials as polynomials
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("a closed route enumerated")
+
+        monkeypatch.setattr(polynomials, "enumerate_dyck", no_stream)
+        monkeypatch.setattr(polynomials, "enumerate_avoiders", no_stream)
+        n = 14
+        a, cat = a_poly(n, max_n=n), cat_qt(n, max_n=n)
+        assert qt_swap(a) == a
+        assert qt_swap(cat) == cat
+        assert cat.evaluate() == 2674440  # the Catalan number C_14
+        mac = macmahon_q_catalan(n, max_n=n)
+        assert t_to_q_inverse_shifted(a, n) == mac == macmahon_q_catalan_quotient(n)
+        assert t_to_q_inverse_shifted(cat, n) == mac
 
     def test_macmahon_small(self):
         assert macmahon_q_catalan(1) == MultiPoly.one()
@@ -215,6 +253,19 @@ class TestTristat:
     def test_pair_identities(self, plain, complemented):
         for n in range(1, 7):
             assert tristat_gf(n, plain, "plain") == tristat_gf(n, complemented, "complemented")
+
+    @pytest.mark.parametrize("orientation", ["plain", "complemented"])
+    @pytest.mark.parametrize("pattern", [231, 312, 132, 213])
+    def test_valley_route_matches_avoider_oracle(self, pattern, orientation):
+        for n in range(1, 9):
+            shift = n * (n - 1) // 2
+
+            def key(s):
+                if orientation == "plain":
+                    return (s.des, s.maj, s.imaj)
+                return (n - 1 - s.des, shift - s.maj, shift - s.imaj)
+
+            assert tristat_gf(n, pattern, orientation) == avoider_poly(n, pattern, key)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -277,12 +328,13 @@ class TestKdSearch:
             result = kd_search(n)
             shift = comb(n, 2)
             target = {(eq, et): c for (_, eq, et), c in cat_qt(n).terms()}
+            stats = {D: path_stats(D) for D in enumerate_dyck(n)}
             for assignment in result.assignments:
-                assert set(assignment) == set(enumerate_dyck(n))
+                assert assignment.keys() == stats.keys()
                 got: dict = {}
                 for D, k in assignment.items():
                     assert k >= 0
-                    s = path_stats(D)
+                    s = stats[D]
                     key = (s.maj1 - k, shift - s.maj0 - k)
                     got[key] = got.get(key, 0) + 1
                 assert got == target
@@ -308,6 +360,10 @@ class TestKdSearch:
         for n in range(1, 6):
             single = kd_search(n, all_assignments=False).assignments[0]
             assert single in kd_search(n).assignments
+
+    def test_exhaustive_search_rejects_n_above_five(self):
+        with pytest.raises(ValueError, match="limited to n <= 5, got n=6"):
+            kd_search(6, all_assignments=True)
 
     def test_single_mode(self):
         result = kd_search(6, all_assignments=False)

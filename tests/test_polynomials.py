@@ -194,9 +194,7 @@ class TestPolynomialZoo:
     )
     def test_closed_route_matches_path_oracle(self, route, key):
         for n in range(1, 10):
-            want = path_poly(n, key)
-            assert route(n) == want
-            assert str(route(n)) == str(want)
+            assert route(n) == path_poly(n, key)
 
     def test_closed_routes_at_14_enumerate_nothing(self, monkeypatch):
         import catbij.polynomials as polynomials

@@ -10,11 +10,12 @@ Conventions used throughout the package:
   and is load-bearing: every descent block is followed by an ascent.
 - ``ides``/``imaj`` are the descent set / major index of the inverse.
 
-Pattern containment has one test for the six patterns of length 3: does
-appending a value to an avoiding prefix complete an occurrence that ends at
-that value?  ``contains`` asks it at every position of a word and the avoider
-stream asks it of every candidate extension.  The naive subsequence scan
-``contains_naive`` works for any pattern length and remains the oracle.
+Pattern containment has one test for the six patterns of length 3, the ban
+mask ``_bans``: appending v bans the later values u that would close an
+occurrence (x, v, u) with an earlier x, one interval read in O(1) from the
+bit mask of the earlier values.  ``contains`` and the avoider stream both use
+it; the naive subsequence scan ``contains_naive`` works for any pattern
+length and remains the oracle.
 """
 from __future__ import annotations
 
@@ -146,17 +147,24 @@ def descent_data(p: Permutation) -> DescentData:
 
 
 def perm_stats(p: Permutation) -> PermStats:
-    """Descent counts, major indices and the inversion number."""
-    d = descent_data(p)
+    """Descent counts, major indices and the inversion number, in one pass.
+
+    >>> perm_stats(Permutation((6, 2, 1, 5, 4, 3)))
+    PermStats(des=4, asc=2, maj=12, imaj=13, inv=9)
+    """
     w = p.word
-    inv = sum(1 for i, j in itertools.combinations(range(p.n), 2) if w[i] > w[j])
-    return PermStats(
-        des=len(d.des),
-        asc=len(d.asc),
-        maj=sum(d.des),
-        imaj=sum(d.ides),
-        inv=inv,
-    )
+    des = maj = imaj = inv = seen = prev = 0
+    for i, v in enumerate(w):
+        if v < prev:
+            des += 1
+            maj += i
+        prev = v
+        above = seen >> v  # bit j set iff v + j came earlier
+        inv += above.bit_count()
+        if above & 2:  # v + 1 came before v: v is a descent of the inverse
+            imaj += v
+        seen |= 1 << v
+    return PermStats(des=des, asc=len(w) - des, maj=maj, imaj=imaj, inv=inv)
 
 
 # ---------------------------------------------------------------------------
@@ -173,30 +181,38 @@ def _pattern_word(pattern) -> tuple[int, ...]:
     return Permutation(tuple(pattern)).word
 
 
-def _completes(prefix: Sequence[int], v: int, pattern: tuple[int, ...]) -> bool:
-    """True iff prefix + [v] has an occurrence of the pattern ending at v,
-    given that prefix avoids the pattern.
+def _bans(pattern: tuple[int, ...], used: int, v: int) -> int:
+    """The values banned after v by the length-3 pattern (a, b, c).
 
-    For a length-3 pattern (a, b, c) this is one left-to-right pass: ``first``
-    is the least (if a < b) or greatest (if a > b) earlier value on a's side
-    of v, and a later value on b's side of v closes an occurrence when it
-    lies beyond ``first`` in that order.  Other lengths use the naive scan.
+    ``used`` has bit x set for each value x placed before v.  The result has
+    bit u set iff some earlier x makes (x, v, u) an occurrence; it is one
+    interval, and negative when it is unbounded above:
 
-    >>> _completes([2, 3], 1, (2, 3, 1)), _completes([3, 2], 1, (2, 3, 1))
-    (True, False)
+    123: u > v if some x < v      321: u < v if some x > v
+    132: min(x < v) < u < v       312: v < u < max(x > v)
+    231: u < max(x < v)           213: u > min(x > v)
+
+    >>> bin(_bans((2, 3, 1), 0b0100, 5)), _bans((2, 3, 1), 0b1000, 2)
+    ('0b10', 0)
     """
-    if len(pattern) != 3:
-        return contains_naive([*prefix, v], pattern)
     a, b, c = pattern
-    a_below, b_below, rising = a < c, b < c, a < b
-    first = None
-    for x in prefix:
-        below = x < v
-        if below == b_below and first is not None and (first < x) == rising:
-            return True
-        if below == a_below and (first is None or (x < first) == rising):
-            first = x
-    return False
+    if a < b:
+        below = used & ((1 << v) - 1)
+        if not below:
+            return 0
+        if c > b:
+            return -(2 << v)
+        if c > a:
+            return (1 << v) - ((below & -below) << 1)
+        return (1 << (below.bit_length() - 1)) - 2
+    above = used >> (v + 1)
+    if not above:
+        return 0
+    if c < b:
+        return (1 << v) - 2
+    if c < a:
+        return (1 << (used.bit_length() - 1)) - (2 << v)
+    return -((above & -above) << (v + 2))
 
 
 def contains_naive(p: Permutation | Sequence[int], pattern) -> bool:
@@ -217,15 +233,25 @@ def contains_naive(p: Permutation | Sequence[int], pattern) -> bool:
 def contains(p: Permutation | Sequence[int], pattern) -> bool:
     """True iff some subsequence of p is order-isomorphic to the pattern.
 
-    A length-3 pattern is found by asking, at each position k, whether
-    word[k] completes an occurrence ending there; longer patterns use the
-    naive scan.
+    A length-3 pattern is found in one pass: the word contains it iff some
+    value arrives already banned by an earlier one.  The values may be any
+    distinct positive integers; sparse ones are first replaced by their
+    ranks.  Longer patterns use the naive scan.
     """
     word = p.word if isinstance(p, Permutation) else tuple(p)
     pat = _pattern_word(pattern)
-    if len(pat) == 3:
-        return any(_completes(word[:k], word[k], pat) for k in range(len(word)))
-    return contains_naive(word, pat)
+    if len(pat) != 3:
+        return contains_naive(word, pat)
+    if max(word, default=0) > len(word):
+        rank = {x: r for r, x in enumerate(sorted(word), start=1)}
+        word = [rank[x] for x in word]
+    used = banned = 0
+    for v in word:
+        if banned >> v & 1:
+            return True
+        banned |= _bans(pat, used, v)
+        used |= 1 << v
+    return False
 
 
 def avoids(p: Permutation | Sequence[int], pattern) -> bool:
@@ -247,37 +273,55 @@ def enumerate_avoiders(
     """Stream all pattern-avoiding permutations of {1..n} in lex order.
 
     Depth-first generation over avoiding prefixes, each extended only by the
-    values that complete no occurrence ending at them; containment is
-    monotone under extension, so the stream is exhaustive and duplicate-free.
-    The walk is a loop: position k resumes after ``tried[k]``, the last
-    value tried there, and a position with no value left backtracks.
+    values that complete no occurrence; containment is monotone under
+    extension, so the stream is exhaustive and duplicate-free.  The walk is a
+    loop: position k resumes after ``tried[k]``, the last value tried there,
+    and a position with no value left backtracks.
+
+    For a length-3 pattern ``banned[k]`` is the union of the bans of the
+    first k values.  Bans only grow, so a prefix that bans a still-free value
+    has no avoiding completion: pruning it is exact, and it keeps every free
+    value unbanned, so each candidate costs one mask test.  Other pattern
+    lengths test each candidate with ``contains_naive``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > max_n:
         raise CeilingExceeded(n, max_n)
     pat = _pattern_word(pattern)
+    masked = len(pat) == 3
 
     def walk() -> Iterator[Permutation]:
         prefix: list[int] = []
-        free = [True] * (n + 1)
+        full = free = (2 << n) - 2
+        banned = [0] * (n + 1)
         tried = [0] * (n + 1)
         while True:
             k = len(prefix)
             if k == n:
                 yield Permutation(tuple(prefix))
-            for v in range(tried[k] + 1, n + 1):
-                if free[v] and not _completes(prefix, v, pat):
+            rest = free & -(2 << tried[k])
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                v = bit.bit_length() - 1
+                if masked:
+                    ban = banned[k] | _bans(pat, full ^ free, v)
+                    if not ban & (free ^ bit):
+                        break
+                elif not contains_naive([*prefix, v], pat):
+                    ban = 0
                     break
             else:
                 if not prefix:
                     return
                 tried[k] = 0
-                free[prefix.pop()] = True
+                free |= 1 << prefix.pop()
                 continue
             tried[k] = v
+            banned[k + 1] = ban
             prefix.append(v)
-            free[v] = False
+            free ^= bit
 
     return walk()
 

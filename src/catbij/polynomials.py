@@ -69,6 +69,17 @@ class MultiPoly:
                     clean[(ea, eq, et)] = coef
         object.__setattr__(self, "_terms", clean)
 
+    @classmethod
+    def _of(cls, terms: dict[Exponents, int]) -> "MultiPoly":
+        """Wrap an arithmetic result, dropping zero coefficients only.
+
+        Sums and products of valid polynomials have no negative exponent, so
+        the check of ``__init__`` is skipped.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_terms", {k: c for k, c in terms.items() if c})
+        return poly
+
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
@@ -112,10 +123,10 @@ class MultiPoly:
         out = dict(self._terms)
         for key, coef in other._terms.items():
             out[key] = out.get(key, 0) + coef
-        return MultiPoly(out)
+        return MultiPoly._of(out)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly({k: -c for k, c in self._terms.items()})
+        return MultiPoly._of({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
@@ -124,7 +135,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return MultiPoly({k: other * c for k, c in self._terms.items()})
+            return MultiPoly._of({k: other * c for k, c in self._terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         out: dict[Exponents, int] = {}
@@ -132,7 +143,7 @@ class MultiPoly:
             for (a2, q2, t2), c2 in other._terms.items():
                 key = (a1 + a2, q1 + q2, t1 + t2)
                 out[key] = out.get(key, 0) + c1 * c2
-        return MultiPoly(out)
+        return MultiPoly._of(out)
 
     __rmul__ = __mul__
 

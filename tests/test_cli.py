@@ -96,6 +96,12 @@ _POLY_ARGS = st.one_of(
     st.tuples(st.sampled_from(_ENUMERATED_SELECTORS), st.integers(-2, 6)),
     st.tuples(st.text(max_size=12), st.integers(-2, 6)),
 )
+_ENUMERATE_ARGS = st.tuples(
+    st.one_of(st.just("dyck"), st.sampled_from([f"avoiders:{p}" for p in (123, 132, 213, 231, 312, 321)]),
+              st.text(max_size=12)),
+    st.integers(-2, 8),
+    st.sampled_from(["lines", "csv", "json"]),
+)
 
 
 class TestMap:
@@ -291,6 +297,16 @@ class TestEnumerate:
         assert code == 4
         code, _, _ = run(capsys, "--max-n", "4", "enumerate", "dyck", "5")
         assert code == 4
+
+    @settings(max_examples=30, deadline=None)
+    @given(_ENUMERATE_ARGS)
+    def test_generated_arguments(self, args):
+        kind, n, fmt = args
+        first = run_captured("enumerate", kind, str(n), "--format", fmt)
+        code, _, err = first
+        assert code in {0, 2, 3, 4}
+        assert "Traceback" not in err
+        assert run_captured("enumerate", kind, str(n), "--format", fmt) == first
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "enumerate", "avoiders:312", "5", "--format", "csv")

@@ -84,6 +84,16 @@ class TestMultiPoly:
         with pytest.raises(NegativeExponent):
             MultiPoly({(0, -1, 0): 1})
 
+    @given(_polys, _polys, st.integers(-3, 3))
+    def test_arithmetic_results_are_canonical(self, p, q, k):
+        # arithmetic skips the exponent check; the public constructor keeps it
+        for result in (p + q, -p, p - q, p * q, k * p):
+            assert result == MultiPoly(dict(result.terms()))
+            assert all(coef for _, coef in result.terms())
+        for key in ((-1, 0, 0), (0, 0, -2)):
+            with pytest.raises(NegativeExponent):
+                MultiPoly({key: 1})
+
     def test_pow_and_evaluate(self):
         p = (Q + T) ** 2
         assert p == Q * Q + 2 * Q * T + T * T

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import (
-    CeilingExceeded,
     NonBinaryCharacter,
     PrefixViolation,
     UnbalancedCounts,
 )
-from .permutations import DEFAULT_MAX_N
+from .permutations import DEFAULT_MAX_N, _check_size
 
 NORTH = 0
 EAST = 1
@@ -247,10 +246,7 @@ def enumerate_dyck(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[DyckPath]:
     """Stream all Dyck paths of semilength n in lex order of the step word.
     A successor makes the rightmost north step that starts above the diagonal
     an east step, then puts the remaining north steps before the east steps."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > max_n:
-        raise CeilingExceeded(n, max_n)
+    _check_size(n, max_n)
 
     def walk() -> Iterator[DyckPath]:
         steps = (NORTH,) * n + (EAST,) * n

@@ -29,6 +29,22 @@ from .errors import CeilingExceeded
 DEFAULT_MAX_N = 12
 
 
+def _check_size(n: int, max_n: int | None = None) -> None:
+    """The size rule of every sized stream and closed route, applied before
+    any work: n < 1 raises ValueError and n above the ceiling max_n, when
+    one is given, raises CeilingExceeded(n, max_n).
+
+    The verify suites keep their own rule, worded for size bars:
+    ``verification.run_suite`` raises "size bar must be at least 1" and
+    CeilingExceeded(max_n + 1, max_n), because the stderr of ``catbij
+    verify`` is fixed output.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if max_n is not None and n > max_n:
+        raise CeilingExceeded(n, max_n)
+
+
 @dataclass(frozen=True)
 class Permutation:
     """An immutable permutation of {1..n} in one-line notation.
@@ -284,10 +300,7 @@ def enumerate_avoiders(
     value unbanned, so each candidate costs one mask test.  Other pattern
     lengths test each candidate with ``contains_naive``.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > max_n:
-        raise CeilingExceeded(n, max_n)
+    _check_size(n, max_n)
     pat = _pattern_word(pattern)
     masked = len(pat) == 3
 

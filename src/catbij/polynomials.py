@@ -19,13 +19,15 @@ up to which they check it:
                            213, oracle ``avoider_poly``, n <= 8; enumeration
                            (``avoider_poly`` itself) for 123 and 321,
 - ``verify_gf_identity``-- truncated-series residuals of the expansion of 1
-                           into the bistatistic summands,
+                           into the bistatistic summands, whose denominators
+                           are q-binomials read from the Pascal table,
 - ``kd_search``         -- nonnegative per-path shifts matching the
                            (maj1, C(n,2)-maj0) bistatistic onto cat_qt, by a
                            greedy fill of the diagonals alpha - beta.
 
-The closed routes enumerate nothing, yet keep the size rules of the
-streams: n < 1 raises ValueError and n > max_n raises CeilingExceeded.
+The closed routes enumerate nothing, yet keep the size rule of the streams,
+``permutations._check_size``: n < 1 raises ValueError and n > max_n raises
+CeilingExceeded.
 """
 from __future__ import annotations
 
@@ -38,10 +40,11 @@ from typing import Callable, Mapping
 import json
 
 from .dyck import DyckPath, enumerate_dyck, path_stats
-from .errors import CeilingExceeded, NegativeExponent, NoAssignment
+from .errors import NegativeExponent, NoAssignment
 from .permutations import (
     DEFAULT_MAX_N,
     PermStats,
+    _check_size,
     enumerate_avoiders,
     perm_stats,
 )
@@ -290,14 +293,6 @@ def avoider_poly(
 # closed routes: the valley DP and the Garsia-Haglund recursion
 # ---------------------------------------------------------------------------
 
-def _check_size(n: int, max_n: int) -> None:
-    """The size rules of the enumeration streams, for routes that enumerate nothing."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > max_n:
-        raise CeilingExceeded(n, max_n)
-
-
 def _valley_gf(n: int) -> Counter:
     """Dyck paths of semilength n counted by (valleys, sum of x, sum of y).
 
@@ -398,20 +393,10 @@ def macmahon_q_catalan_quotient(n: int) -> MultiPoly:
     >>> str(macmahon_q_catalan_quotient(3))
     'q^6 + q^4 + q^3 + q^2 + 1'
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_size(n)
     binomial = _pascal(2 * n)[2 * n]
     return binomial[n] - Q * binomial[n + 1]
 
-
-_PATTERNS = {
-    231: (2, 3, 1),
-    312: (3, 1, 2),
-    132: (1, 3, 2),
-    213: (2, 1, 3),
-    123: (1, 2, 3),
-    321: (3, 2, 1),
-}
 
 # (des, maj, imaj) of a class as a term map of the valley DP's (k, X, Y):
 # phi sends 231-avoiders to paths with (Des, iDes) = (X, Y); 312-avoiders are
@@ -440,16 +425,15 @@ def tristat_gf(
     123 and 321 are enumerated.  The complemented form is a term map of the
     plain one.
     """
-    try:
-        pat = _PATTERNS[pattern]
-    except KeyError:
-        raise ValueError(f"pattern must be one of {sorted(_PATTERNS)}") from None
+    patterns = [*_VALLEY_KEYS, 123, 321]
+    if pattern not in patterns:
+        raise ValueError(f"pattern must be one of {sorted(patterns)}")
     if orientation not in ("plain", "complemented"):
         raise ValueError(f"unknown orientation {orientation!r}")
     if pattern in _VALLEY_KEYS:
         plain = _valley_poly(n, max_n, partial(_VALLEY_KEYS[pattern], n))
     else:
-        plain = avoider_poly(n, pat, lambda s: (s.des, s.maj, s.imaj), max_n)
+        plain = avoider_poly(n, pattern, lambda s: (s.des, s.maj, s.imaj), max_n)
     if orientation == "plain":
         return plain
     shift = comb(n, 2)
@@ -506,14 +490,6 @@ class TruncatedSeries:
             coeffs[power] = poly
         return cls(order, tuple(coeffs))
 
-    @classmethod
-    def geometric(cls, factor: MultiPoly, order: int) -> "TruncatedSeries":
-        """1 / (1 + factor * z) = sum of (-factor)^m z^m."""
-        coeffs = [MultiPoly.one()]
-        for _ in range(order):
-            coeffs.append(-(coeffs[-1] * factor))
-        return cls(order, tuple(coeffs))
-
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if self.order != other.order:
             raise ValueError("series orders differ")
@@ -550,19 +526,25 @@ def verify_gf_identity(
     0..N.
 
     Note the index offset: the m-th summand carries numerator(m+1), paired
-    with denominator exponents up to m+1.
+    with denominator exponents up to m+1.  Each denominator is read off the
+    Pascal table by the q-binomial theorem (Andrews, *The Theory of
+    Partitions*, 1976, Thm 3.3):
+
+        [z^j] prod_{i=1..m+1} 1/(1+q^i z) = (-1)^j q^j [m+j, j]_q,
+
+    and its t-half is the q <-> t swap, so a summand costs two series products.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
     if numerator is None:
         numerator = lambda m: a_poly(m, max_n=max_n)
+    binomial = _pascal(2 * N)
     total = TruncatedSeries.monomial(MultiPoly.zero(), 0, N)
     for m in range(N + 1):
-        term = TruncatedSeries.monomial(numerator(m + 1), m, N)
-        for i in range(1, m + 2):
-            term = term * TruncatedSeries.geometric(MultiPoly.term(1, q=i), N)
-            term = term * TruncatedSeries.geometric(MultiPoly.term(1, t=i), N)
-        total = total + term
+        q_half = tuple(MultiPoly.term((-1) ** j, q=j) * binomial[m + j][j] for j in range(N + 1))
+        t_half = tuple(map(qt_swap, q_half))
+        summand = TruncatedSeries.monomial(numerator(m + 1), m, N)
+        total = total + summand * TruncatedSeries(N, q_half) * TruncatedSeries(N, t_half)
     residuals = list(total.coeffs)
     residuals[0] = residuals[0] - MultiPoly.one()
     return residuals

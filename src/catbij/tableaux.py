@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import NotAvoiding321
-from .permutations import Permutation, avoids
+from .permutations import Permutation, _check_size, avoids
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,7 @@ def j_involution(p: Permutation, check: bool = True) -> Permutation:
 def standard_tableaux(n: int) -> Iterator[StandardTableau]:
     """All standard Young tableaux with n cells, any shape, by placing
     1, 2, ..., n at every addable corner (lex order on growth choices)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_size(n)
     rows: list[list[int]] = []
 
     def walk(k: int) -> Iterator[StandardTableau]:

@@ -91,7 +91,7 @@ def _catalan(n: int) -> int:
 # phi
 # ---------------------------------------------------------------------------
 
-def suite_phi(n_max: int = 9, max_n: int = DEFAULT_MAX_N) -> list[Check]:
+def suite_phi(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     avoiders = _avoiders((2, 3, 1), max_n)
 
     def phi(p: Permutation) -> dyck.DyckPath:
@@ -136,7 +136,7 @@ def suite_phi(n_max: int = 9, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # descent-geometry lemmas on 231-avoiders
 # ---------------------------------------------------------------------------
 
-def suite_lemmas(n_max: int = 8, max_n: int = DEFAULT_MAX_N) -> list[Check]:
+def suite_lemmas(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     avoiders = _avoiders((2, 3, 1), max_n)
 
     def ides_from_values(n: int, p: Permutation) -> bool:
@@ -201,7 +201,7 @@ def suite_lemmas(n_max: int = 8, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # kappa and its factorization
 # ---------------------------------------------------------------------------
 
-def suite_kappa(n_max: int = 8, max_n: int = DEFAULT_MAX_N) -> list[Check]:
+def suite_kappa(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     avoiders = _avoiders((1, 3, 2), max_n)
     heights_bar = min(n_max, 7)  # the height checks range over all of S_n
 
@@ -251,7 +251,7 @@ def suite_kappa(n_max: int = 8, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # inversion number vs area
 # ---------------------------------------------------------------------------
 
-def suite_inv_area(n_max: int = 8, max_n: int = DEFAULT_MAX_N) -> list[Check]:
+def suite_inv_area(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     def bridge(n: int, p: Permutation) -> bool:
         image = dyck.valley_complement(bijections.phi(p, check=False))
         return dyck.area(image) == permutations.perm_stats(p).inv
@@ -271,7 +271,7 @@ def suite_inv_area(n_max: int = 8, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # polynomial symmetry and specializations
 # ---------------------------------------------------------------------------
 
-def suite_symmetry(n_max: int = 8, max_n: int = DEFAULT_MAX_N) -> list[Check]:
+def suite_symmetry(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     def a(n: int) -> polynomials.MultiPoly:
         return polynomials.a_poly(n, max_n=max_n)
 
@@ -308,7 +308,7 @@ def suite_symmetry(n_max: int = 8, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # generating-function identity
 # ---------------------------------------------------------------------------
 
-def suite_gf(n_max: int = 6, max_n: int = DEFAULT_MAX_N) -> list[Check]:
+def suite_gf(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     if n_max + 1 > max_n:  # the order-N identity needs A_(N+1)
         raise CeilingExceeded(max_n + 1, max_n)
 
@@ -331,7 +331,7 @@ def _drop_a(p: polynomials.MultiPoly) -> polynomials.MultiPoly:
     return polynomials.MultiPoly(out)
 
 
-def suite_tristat(n_max: int = 7, max_n: int = DEFAULT_MAX_N) -> list[Check]:
+def suite_tristat(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     def gf(n: int, pattern: int, orientation: str) -> polynomials.MultiPoly:
         shift = comb(n, 2)
         if orientation == "plain":
@@ -354,7 +354,7 @@ def suite_tristat(n_max: int = 7, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # RSK and the evacuation involution
 # ---------------------------------------------------------------------------
 
-def suite_rsk_j(n_max: int = 7, max_n: int = DEFAULT_MAX_N) -> list[Check]:
+def suite_rsk_j(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     perms_bar = min(n_max, 7)  # the RSK checks range over all of S_n
 
     def roundtrip(n: int, p: Permutation) -> bool:
@@ -407,7 +407,7 @@ def suite_rsk_j(n_max: int = 7, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # shift assignments
 # ---------------------------------------------------------------------------
 
-def suite_kd(n_max: int = 8, max_n: int = DEFAULT_MAX_N) -> list[Check]:
+def suite_kd(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     def search(n: int, exhaustive: bool) -> polynomials.KdResult:
         return polynomials.kd_search(n, all_assignments=exhaustive, max_n=max_n)
 
@@ -449,6 +449,7 @@ def suite_kd(n_max: int = 8, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # registry
 # ---------------------------------------------------------------------------
 
+# name -> (suite, default bar); the only place a default bar is written
 SUITES: dict[str, tuple[Callable[..., list[Check]], int]] = {
     "phi": (suite_phi, 9),
     "lemmas": (suite_lemmas, 8),

@@ -24,7 +24,7 @@ from catbij import (
     perm_stats,
     verification,
 )
-from catbij.cli import main
+from catbij.cli import _BIJECTIONS, main
 from catbij.verification import Check, _failures, _scan, run_suite
 
 # The check lines of ``catbij verify all 4``: check names and details are fixed output.
@@ -86,6 +86,16 @@ def run_captured(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def assert_contract(*argv, codes=frozenset({0, 2, 3, 4})):
+    """An allowed exit code, no traceback, and the same result on a rerun.
+    Only ``verify`` may exit 1, a failed check."""
+    first = run_captured(*argv)
+    code, _, err = first
+    assert code in codes
+    assert "Traceback" not in err
+    assert run_captured(*argv) == first
+
+
 _ORIENTATIONS = ("plain", "complemented")
 # selectors with a closed route, and the two tristat patterns that enumerate
 _CLOSED_SELECTORS = ["a", "cat", "macmahon",
@@ -101,6 +111,18 @@ _ENUMERATE_ARGS = st.tuples(
               st.text(max_size=12)),
     st.integers(-2, 8),
     st.sampled_from(["lines", "csv", "json"]),
+)
+_VERIFY_ARGS = st.tuples(
+    st.one_of(st.sampled_from([*verification.SUITES, "all"]), st.text(max_size=12)),
+    st.integers(-2, 4),
+)
+_PERM_TEXT = st.integers(1, 7).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
+    lambda w: "[" + ",".join(map(str, w)) + "]")
+_PATH_TEXT = st.one_of(st.sampled_from([str(D) for n in range(1, 6) for D in enumerate_dyck(n)]),
+                       st.text("01 ", max_size=12))
+_MAP_ARGS = st.tuples(
+    st.one_of(st.sampled_from(list(_BIJECTIONS)), st.text(max_size=12)),
+    st.one_of(_PERM_TEXT, _PATH_TEXT, st.text(max_size=12)),
 )
 
 
@@ -158,6 +180,11 @@ class TestMap:
         code, _, _ = run(capsys, "map", "zeta", "[1,2]")
         assert code == 2
 
+    @settings(max_examples=25, deadline=None)
+    @given(_MAP_ARGS)
+    def test_generated_arguments(self, args):
+        assert_contract("map", *args)
+
 
 class TestPoly:
     def test_a4_text(self, capsys):
@@ -192,11 +219,17 @@ class TestPoly:
         code, _, _ = run(capsys, "poly", "zeta", "3")
         assert code == 2
 
-    def test_malformed_tristat_is_exit_2(self, capsys):
-        code, _, _ = run(capsys, "poly", "tristat:231", "3")
-        assert code == 2
-        code, _, _ = run(capsys, "poly", "tristat:231:sideways", "3")
-        assert code == 2
+    @pytest.mark.parametrize(
+        "selector,err",
+        [
+            ("tristat:231", "tristat selector is tristat:<pattern>:<orientation>\n"),
+            ("tristat:231:sideways", "error: unknown orientation 'sideways'\n"),
+            ("tristat:abc:plain", "error: pattern must be digits like 231, got 'abc'\n"),
+        ],
+        ids=["tristat:231", "tristat:231:sideways", "tristat:abc:plain"],
+    )
+    def test_malformed_tristat_is_exit_2(self, capsys, selector, err):
+        assert run(capsys, "poly", selector, "3") == (2, "", err)
 
     @pytest.mark.parametrize("kind", ["a", "cat", "macmahon", "tristat:231:plain"])
     def test_n_below_one_is_exit_2(self, capsys, kind):
@@ -214,11 +247,7 @@ class TestPoly:
     @given(_POLY_ARGS)
     def test_generated_selectors(self, args):
         selector, n = args
-        first = run_captured("poly", selector, str(n))
-        code, _, err = first
-        assert code in {0, 2, 3, 4}
-        assert "Traceback" not in err
-        assert run_captured("poly", selector, str(n)) == first
+        assert_contract("poly", selector, str(n))
 
 
 class TestEnumerate:
@@ -288,9 +317,17 @@ class TestEnumerate:
         assert proc.wait(timeout=60) == 0
         assert err == b""
 
-    def test_unknown_kind_is_exit_2(self, capsys):
-        code, _, _ = run(capsys, "enumerate", "ballot", "3")
-        assert code == 2
+    @pytest.mark.parametrize(
+        "kind,err",
+        [
+            ("ballot", "unknown kind 'ballot'; use dyck or avoiders:<pattern>\n"),
+            ("avoiders:x", "error: pattern must be digits like 231, got 'x'\n"),
+            ("avoiders:", "error: pattern must be digits like 231, got ''\n"),
+        ],
+        ids=["ballot", "avoiders:x", "avoiders:"],
+    )
+    def test_unknown_kind_is_exit_2(self, capsys, kind, err):
+        assert run(capsys, "enumerate", kind, "3") == (2, "", err)
 
     def test_ceiling_is_exit_4(self, capsys):
         code, _, _ = run(capsys, "enumerate", "dyck", "13")
@@ -302,11 +339,7 @@ class TestEnumerate:
     @given(_ENUMERATE_ARGS)
     def test_generated_arguments(self, args):
         kind, n, fmt = args
-        first = run_captured("enumerate", kind, str(n), "--format", fmt)
-        code, _, err = first
-        assert code in {0, 2, 3, 4}
-        assert "Traceback" not in err
-        assert run_captured("enumerate", kind, str(n), "--format", fmt) == first
+        assert_contract("enumerate", kind, str(n), "--format", fmt)
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "enumerate", "avoiders:312", "5", "--format", "csv")
@@ -359,6 +392,12 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: size bar must be at least 1, got {bar}\n"
+
+    @settings(max_examples=25, deadline=None)
+    @given(_VERIFY_ARGS)
+    def test_generated_arguments(self, args):
+        suite, n = args
+        assert_contract("verify", suite, str(n), codes={0, 1, 2, 3, 4})
 
 
 class TestVerificationSuites:

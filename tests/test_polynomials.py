@@ -25,7 +25,7 @@ from catbij import (
     tristat_gf,
     verify_gf_identity,
 )
-from catbij.polynomials import Q, T
+from catbij.polynomials import A, Q, T
 from conftest import CATALAN
 
 _exponents = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
@@ -276,7 +276,7 @@ class TestTristat:
             assert tristat_gf(n, pattern, orientation) == avoider_poly(n, pattern, key)
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^pattern must be one of \[123, 132, 213, 231, 312, 321\]$"):
             tristat_gf(3, 999)
         with pytest.raises(ValueError):
             tristat_gf(3, 231, "sideways")
@@ -287,13 +287,16 @@ class TestSeriesIdentity:
         with pytest.raises(ValueError):
             TruncatedSeries(2, (MultiPoly.one(),))
 
-    def test_geometric_inverse(self):
-        g = TruncatedSeries.geometric(Q, 3)
-        one = TruncatedSeries.monomial(MultiPoly.one(), 0, 3)
-        plus = one + TruncatedSeries.monomial(Q, 1, 3)
-        product = g * plus
-        assert product.coeffs[0] == MultiPoly.one()
-        assert all(c.is_zero for c in product.coeffs[1:])
+    def test_q_binomial_theorem(self):
+        # sum_j (-1)^j q^j [m+j, j]_q z^j inverts prod_(i=1..m+1) (1 + q^i z)
+        for N in range(7):
+            one = TruncatedSeries.monomial(MultiPoly.one(), 0, N)
+            for m in range(6):
+                product = TruncatedSeries(N, tuple(
+                    MultiPoly.term((-1) ** j, q=j) * q_binomial(m + j, j) for j in range(N + 1)))
+                for i in range(1, m + 2):
+                    product = product * (one + TruncatedSeries.monomial(MultiPoly.term(1, q=i), 1, N))
+                assert product.coeffs == one.coeffs
 
     def test_order_zero(self):
         assert [str(r) for r in verify_gf_identity(0)] == ["0"]
@@ -302,13 +305,40 @@ class TestSeriesIdentity:
         assert all(r.is_zero for r in verify_gf_identity(5))
 
     def test_harness_detects_perturbation(self):
-        def tweaked(n):
-            if n == 2:
-                return Q + 2 * T
-            return a_poly(n)
+        # exact residual texts, so the FAIL detail of `verify gf-identity` cannot drift
+        def tweaked(at, poly):
+            return lambda n: poly if n == at else a_poly(n)
 
-        residuals = verify_gf_identity(2, numerator=tweaked)
-        assert any(not r.is_zero for r in residuals)
+        residuals = verify_gf_identity(3, numerator=tweaked(2, Q + 2 * T))
+        assert [str(r) for r in residuals] == [
+            "0",
+            "t",
+            "-q^2*t - q*t - t^3 - t^2",
+            "q^4*t + q^3*t + q^2*t^3 + q^2*t^2 + q^2*t + q*t^3 + q*t^2 + t^5 + t^4 + t^3",
+        ]
+        residuals = verify_gf_identity(3, numerator=tweaked(3, A * Q))
+        assert [str(r) for r in residuals] == [
+            "0",
+            "0",
+            "a*q - q^3 - q^2*t - q*t^2 - q*t - t^3",
+            "-a*q^4 - a*q^3 - a*q^2 - a*q*t^3 - a*q*t^2 - a*q*t + q^6 + q^5*t + q^5 + q^4*t^2"
+            " + 2*q^4*t + q^4 + 2*q^3*t^3 + 2*q^3*t^2 + 3*q^3*t + q^2*t^4 + 2*q^2*t^3"
+            " + 2*q^2*t^2 + q^2*t + q*t^5 + 2*q*t^4 + 3*q*t^3 + q*t^2 + t^6 + t^5 + t^4",
+        ]
+
+    def test_two_series_products_per_summand(self, monkeypatch):
+        calls = []
+        product = TruncatedSeries.__mul__
+
+        def counted(self, other):
+            calls.append(self.order)
+            return product(self, other)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+        for N in range(6):
+            calls.clear()
+            assert all(r.is_zero for r in verify_gf_identity(N))
+            assert len(calls) == 2 * (N + 1)
 
 
 class TestKdSearch:

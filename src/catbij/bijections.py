@@ -25,7 +25,7 @@ from .dyck import DyckPath, ValleySet, from_valleys, reflect, valley_complement,
 from .errors import NotAvoiding132, NotAvoiding231, NotAvoiding312
 from .permutations import (
     Permutation,
-    avoids,
+    _require_avoids,
     descent_data,
     inverse,
     reconstruct_231,
@@ -39,8 +39,7 @@ def phi(p: Permutation, check: bool = True) -> DyckPath:
     >>> str(phi(Permutation((6, 2, 1, 5, 4, 3))))
     '010010110101'
     """
-    if check and not avoids(p, (2, 3, 1)):
-        raise NotAvoiding231(p.word)
+    _require_avoids(p, NotAvoiding231, check)
     d = descent_data(p)
     return from_valleys(
         ValleySet(n=p.n, xs=tuple(sorted(d.des)), ys=tuple(sorted(d.ides)))
@@ -63,8 +62,7 @@ def psi_perm(p: Permutation, check: bool = True) -> Permutation:
 
     Sends (des, maj, imaj) to (n-1-des, C(n,2)-imaj, C(n,2)-maj).
     """
-    if check and not avoids(p, (2, 3, 1)):
-        raise NotAvoiding231(p.word)
+    _require_avoids(p, NotAvoiding231, check)
     d = descent_data(p)
     full = set(range(1, p.n))
     return reconstruct_231(p.n, full - d.ides, full - d.des)
@@ -108,8 +106,7 @@ def kappa_factored(p: Permutation, check: bool = True) -> DyckPath:
     reflect o valley_complement o phi o reverse; agrees with ``kappa``
     on every 132-avoider.
     """
-    if check and not avoids(p, (1, 3, 2)):
-        raise NotAvoiding132(p.word)
+    _require_avoids(p, NotAvoiding132, check)
     return reflect(valley_complement(phi(reverse(p), check=False)))
 
 
@@ -118,8 +115,7 @@ def beta(p: Permutation, check: bool = True) -> DyckPath:
     inverses avoid 231).  Carries the inversion number to the area statistic:
     area(beta(p)) = inv(p).
     """
-    if check and not avoids(p, (3, 1, 2)):
-        raise NotAvoiding312(p.word)
+    _require_avoids(p, NotAvoiding312, check)
     return valley_complement(phi(inverse(p), check=False))
 
 
@@ -128,6 +124,5 @@ def trio_132_213(p: Permutation, check: bool = True) -> Permutation:
     inverse, then reverse; sends (des, maj, imaj) to
     (n-1-des, C(n,2)-maj, C(n,2)-imaj).
     """
-    if check and not avoids(p, (1, 3, 2)):
-        raise NotAvoiding132(p.word)
+    _require_avoids(p, NotAvoiding132, check)
     return reverse(inverse(psi_perm(reverse(p), check=False)))

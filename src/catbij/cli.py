@@ -65,13 +65,6 @@ def _stats_text(fields: tuple[str, ...], row: tuple[int, ...]) -> str:
     return " ".join(f"{k}={v}" for k, v in zip(fields, row))
 
 
-def _pattern(text: str) -> int:
-    """The ``<p>`` of ``avoiders:<p>`` and ``tristat:<p>:<o>``, e.g. 231."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"pattern must be digits like 231, got {text!r}")
-    return int(text)
-
-
 def _cmd_map(args) -> int:
     try:
         kind, func = _BIJECTIONS[args.bijection]
@@ -106,7 +99,7 @@ def _cmd_poly(args) -> int:
             print("tristat selector is tristat:<pattern>:<orientation>", file=sys.stderr)
             return EXIT_PARSE
         poly = polynomials.tristat_gf(
-            args.n, _pattern(parts[1]), parts[2], max_n=args.max_n
+            args.n, parts[1], parts[2], max_n=args.max_n
         )
     else:
         print(f"unknown polynomial {which!r}; choose a, cat, macmahon, "
@@ -139,7 +132,7 @@ def _cmd_enumerate(args) -> int:
         )
         header = ("word", *_PATH_FIELDS)
     elif kind.startswith("avoiders:"):
-        pattern = _pattern(kind.split(":", 1)[1])
+        pattern = kind.split(":", 1)[1]
         rows = (
             (str(p),) + _perm_row(p)
             for p in permutations.enumerate_avoiders(args.n, pattern, max_n=args.max_n)

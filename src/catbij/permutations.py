@@ -188,13 +188,17 @@ def perm_stats(p: Permutation) -> PermStats:
 # ---------------------------------------------------------------------------
 
 def _pattern_word(pattern) -> tuple[int, ...]:
-    if isinstance(pattern, Permutation):
-        return pattern.word
-    if isinstance(pattern, int):
-        # convenience: 231 -> (2, 3, 1); single digits only
-        digits = tuple(int(c) for c in str(pattern))
-        return Permutation(digits).word
-    return Permutation(tuple(pattern)).word
+    """The word of a pattern given as a Permutation, a sequence of values, or
+    its digits as an int or a string: 231, "231" and (2, 3, 1) give (2, 3, 1)."""
+    word = pattern
+    if isinstance(pattern, (int, str)):
+        if not ((text := str(pattern)).isascii() and text.isdigit()):
+            raise ValueError(f"pattern must be digits like 231, got {pattern!r}")
+        word = map(int, text)
+    try:
+        return Permutation(tuple(word)).word
+    except ValueError:
+        raise ValueError(f"pattern must be a permutation like 231, got {pattern!r}") from None
 
 
 def _bans(pattern: tuple[int, ...], used: int, v: int) -> int:
@@ -281,6 +285,12 @@ def avoids(p: Permutation | Sequence[int], pattern) -> bool:
     return not contains(p, pattern)
 
 
+def _require_avoids(p: Permutation, violation: type, check: bool) -> None:
+    """Raise violation(p.word) if check is set and p contains violation.pattern."""
+    if check and not avoids(p, violation.pattern):
+        raise violation(p.word)
+
+
 def enumerate_avoiders(
     n: int,
     pattern,
@@ -298,10 +308,11 @@ def enumerate_avoiders(
     first k values.  Bans only grow, so a prefix that bans a still-free value
     has no avoiding completion: pruning it is exact, and it keeps every free
     value unbanned, so each candidate costs one mask test.  Other pattern
-    lengths test each candidate with ``contains_naive``.
+    lengths test each candidate with ``contains_naive``.  A bad pattern is
+    reported before a bad size.
     """
-    _check_size(n, max_n)
     pat = _pattern_word(pattern)
+    _check_size(n, max_n)
     masked = len(pat) == 3
 
     def walk() -> Iterator[Permutation]:

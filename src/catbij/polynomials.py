@@ -45,6 +45,7 @@ from .permutations import (
     DEFAULT_MAX_N,
     PermStats,
     _check_size,
+    _pattern_word,
     enumerate_avoiders,
     perm_stats,
 )
@@ -402,17 +403,17 @@ def macmahon_q_catalan_quotient(n: int) -> MultiPoly:
 # phi sends 231-avoiders to paths with (Des, iDes) = (X, Y); 312-avoiders are
 # their inverses; kappa sends 132-avoiders to (X, {n - y}); 213 is the
 # reverse-complement of 132.
-_VALLEY_KEYS: dict[int, Callable[[int, int, int, int], Exponents]] = {
-    231: lambda n, k, x, y: (k, x, y),
-    312: lambda n, k, x, y: (k, y, x),
-    132: lambda n, k, x, y: (k, x, n * k - y),
-    213: lambda n, k, x, y: (k, n * k - x, y),
+_VALLEY_KEYS: dict[tuple[int, ...], Callable[[int, int, int, int], Exponents]] = {
+    (2, 3, 1): lambda n, k, x, y: (k, x, y),
+    (3, 1, 2): lambda n, k, x, y: (k, y, x),
+    (1, 3, 2): lambda n, k, x, y: (k, x, n * k - y),
+    (2, 1, 3): lambda n, k, x, y: (k, n * k - x, y),
 }
 
 
 def tristat_gf(
     n: int,
-    pattern: int,
+    pattern,
     orientation: str = "plain",
     max_n: int = DEFAULT_MAX_N,
 ) -> MultiPoly:
@@ -425,15 +426,15 @@ def tristat_gf(
     123 and 321 are enumerated.  The complemented form is a term map of the
     plain one.
     """
-    patterns = [*_VALLEY_KEYS, 123, 321]
-    if pattern not in patterns:
-        raise ValueError(f"pattern must be one of {sorted(patterns)}")
+    word = _pattern_word(pattern)
+    if len(word) != 3:
+        raise ValueError("pattern must be one of [123, 132, 213, 231, 312, 321]")
     if orientation not in ("plain", "complemented"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    if pattern in _VALLEY_KEYS:
-        plain = _valley_poly(n, max_n, partial(_VALLEY_KEYS[pattern], n))
+    if word in _VALLEY_KEYS:
+        plain = _valley_poly(n, max_n, partial(_VALLEY_KEYS[word], n))
     else:
-        plain = avoider_poly(n, pattern, lambda s: (s.des, s.maj, s.imaj), max_n)
+        plain = avoider_poly(n, word, lambda s: (s.des, s.maj, s.imaj), max_n)
     if orientation == "plain":
         return plain
     shift = comb(n, 2)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import NotAvoiding321
-from .permutations import Permutation, _check_size, avoids
+from .permutations import Permutation, _check_size, _require_avoids
 
 
 @dataclass(frozen=True)
@@ -169,32 +169,46 @@ def j_involution(p: Permutation, check: bool = True) -> Permutation:
     Keeps Des fixed and maps iDes to {n - j : j in iDes}; the image avoids
     321 because evacuation preserves the (at most two-row) shape.
     """
-    if check and not avoids(p, (3, 2, 1)):
-        raise NotAvoiding321(p.word)
+    _require_avoids(p, NotAvoiding321, check)
     P, Q = rsk(p)
     return inverse_rsk(evacuation(P), Q)
 
 
 def standard_tableaux(n: int) -> Iterator[StandardTableau]:
-    """All standard Young tableaux with n cells, any shape, by placing
-    1, 2, ..., n at every addable corner (lex order on growth choices)."""
+    """All standard Young tableaux with n cells, any shape, in lex order of
+    the row word (the rows of 1, 2, ..., n).
+
+    The walk is a loop: ``placed`` holds the rows of 1..k, entry k + 1 goes
+    to the first row from ``r`` on that has room (a new row always has),
+    and when no row is left the last entry comes out and tries the next row.
+    """
     _check_size(n)
-    rows: list[list[int]] = []
 
-    def walk(k: int) -> Iterator[StandardTableau]:
-        if k > n:
-            yield StandardTableau(tuple(tuple(r) for r in rows))
-            return
-        for r in range(len(rows) + 1):
-            if r < len(rows):
-                if r > 0 and len(rows[r]) >= len(rows[r - 1]):
+    def walk() -> Iterator[StandardTableau]:
+        rows: list[list[int]] = []
+        placed: list[int] = []
+        r = 0
+        while True:
+            k = len(placed) + 1
+            if k <= n and r <= len(rows):
+                if r == len(rows):
+                    rows.append([k])
+                elif r == 0 or len(rows[r]) < len(rows[r - 1]):
+                    rows[r].append(k)
+                else:
+                    r += 1
                     continue
-                rows[r].append(k)
-                yield from walk(k + 1)
-                rows[r].pop()
-            else:
-                rows.append([k])
-                yield from walk(k + 1)
+                placed.append(r)
+                r = 0
+                continue
+            if k > n:
+                yield StandardTableau(tuple(map(tuple, rows)))
+            if not placed:
+                return
+            r = placed.pop()
+            rows[r].pop()
+            if not rows[r]:
                 rows.pop()
+            r += 1
 
-    return walk(1)
+    return walk()

@@ -14,6 +14,11 @@ from hypothesis import strategies as st
 import catbij
 from catbij import (
     CeilingExceeded,
+    NotAvoiding132,
+    NotAvoiding231,
+    NotAvoiding312,
+    NotAvoiding321,
+    Permutation,
     a_poly,
     area,
     bounce,
@@ -96,6 +101,20 @@ def assert_contract(*argv, codes=frozenset({0, 2, 3, 4})):
     assert run_captured(*argv) == first
 
 
+def assert_digit_pattern(result, digits, accepted):
+    """Exit 0 when the digits are accepted, else the pattern error alone."""
+    code, out, err = result
+    if accepted:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: pattern must be")
+
+
+def is_permutation(digits):
+    return sorted(digits) == [str(i) for i in range(1, len(digits) + 1)]
+
+
 _ORIENTATIONS = ("plain", "complemented")
 # selectors with a closed route, and the two tristat patterns that enumerate
 _CLOSED_SELECTORS = ["a", "cat", "macmahon",
@@ -112,6 +131,9 @@ _ENUMERATE_ARGS = st.tuples(
     st.integers(-2, 8),
     st.sampled_from(["lines", "csv", "json"]),
 )
+# 1-4 digits, leading zeros and repeats included, with permutations mixed in
+_DIGITS = st.one_of(st.text("0123456789", min_size=1, max_size=4),
+                    st.integers(1, 4).flatmap(lambda k: st.permutations("1234"[:k])).map("".join))
 _VERIFY_ARGS = st.tuples(
     st.one_of(st.sampled_from([*verification.SUITES, "all"]), st.text(max_size=12)),
     st.integers(-2, 4),
@@ -167,6 +189,25 @@ class TestMap:
         code, _, err = run(capsys, "map", "phi", "[2,3,1]")
         assert code == 3
         assert "231" in err
+
+    @pytest.mark.parametrize(
+        "bijection,word,violation",
+        [
+            ("phi", (2, 3, 1), NotAvoiding231),
+            ("psi-perm", (2, 3, 1), NotAvoiding231),
+            ("kappa", (1, 3, 2), NotAvoiding132),
+            ("beta", (3, 1, 2), NotAvoiding312),
+            ("trio", (1, 3, 2), NotAvoiding132),
+            ("j", (3, 2, 1), NotAvoiding321),
+        ],
+    )
+    def test_smallest_non_member_is_a_typed_violation(self, capsys, bijection, word, violation):
+        with pytest.raises(violation) as info:
+            _BIJECTIONS[bijection][1](Permutation(word))
+        name = "".join(map(str, violation.pattern))
+        assert str(info.value) == f"permutation does not avoid {name}: {list(word)}"
+        text = "[" + ",".join(map(str, word)) + "]"
+        assert run(capsys, "map", bijection, text) == (3, "", f"pattern violation: {info.value}\n")
 
     def test_parse_error_is_exit_2(self, capsys):
         code, _, _ = run(capsys, "map", "phi", "[2,x]")
@@ -225,8 +266,9 @@ class TestPoly:
             ("tristat:231", "tristat selector is tristat:<pattern>:<orientation>\n"),
             ("tristat:231:sideways", "error: unknown orientation 'sideways'\n"),
             ("tristat:abc:plain", "error: pattern must be digits like 231, got 'abc'\n"),
+            ("tristat:0231:plain", "error: pattern must be a permutation like 231, got '0231'\n"),
         ],
-        ids=["tristat:231", "tristat:231:sideways", "tristat:abc:plain"],
+        ids=["tristat:231", "tristat:231:sideways", "tristat:abc:plain", "tristat:0231:plain"],
     )
     def test_malformed_tristat_is_exit_2(self, capsys, selector, err):
         assert run(capsys, "poly", selector, "3") == (2, "", err)
@@ -248,6 +290,12 @@ class TestPoly:
     def test_generated_selectors(self, args):
         selector, n = args
         assert_contract("poly", selector, str(n))
+
+    @settings(max_examples=15, deadline=None)
+    @given(_DIGITS, st.integers(1, 7))
+    def test_generated_digit_patterns(self, digits, n):
+        result = run_captured("poly", f"tristat:{digits}:plain", str(n))
+        assert_digit_pattern(result, digits, is_permutation(digits) and len(digits) == 3)
 
 
 class TestEnumerate:
@@ -323,8 +371,11 @@ class TestEnumerate:
             ("ballot", "unknown kind 'ballot'; use dyck or avoiders:<pattern>\n"),
             ("avoiders:x", "error: pattern must be digits like 231, got 'x'\n"),
             ("avoiders:", "error: pattern must be digits like 231, got ''\n"),
+            ("avoiders:01", "error: pattern must be a permutation like 231, got '01'\n"),
+            ("avoiders:11", "error: pattern must be a permutation like 231, got '11'\n"),
+            ("avoiders:0", "error: pattern must be a permutation like 231, got '0'\n"),
         ],
-        ids=["ballot", "avoiders:x", "avoiders:"],
+        ids=["ballot", "avoiders:x", "avoiders:", "avoiders:01", "avoiders:11", "avoiders:0"],
     )
     def test_unknown_kind_is_exit_2(self, capsys, kind, err):
         assert run(capsys, "enumerate", kind, "3") == (2, "", err)
@@ -340,6 +391,12 @@ class TestEnumerate:
     def test_generated_arguments(self, args):
         kind, n, fmt = args
         assert_contract("enumerate", kind, str(n), "--format", fmt)
+
+    @settings(max_examples=15, deadline=None)
+    @given(_DIGITS, st.integers(1, 7))
+    def test_generated_digit_patterns(self, digits, n):
+        result = run_captured("enumerate", f"avoiders:{digits}", str(n))
+        assert_digit_pattern(result, digits, is_permutation(digits))
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "enumerate", "avoiders:312", "5", "--format", "csv")

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from catbij import (
     CeilingExceeded,
     Permutation,
+    avoider_poly,
     avoids,
     contains,
     contains_naive,
@@ -19,7 +21,9 @@ from catbij import (
     perm_stats,
     reconstruct_231,
     reverse,
+    tristat_gf,
 )
+from catbij.permutations import _pattern_word
 from conftest import CATALAN, FIGURE_PAIRS, all_perms, permutations_st
 
 SIGMA = Permutation((6, 2, 1, 5, 4, 3))
@@ -157,6 +161,52 @@ class TestPatterns:
         assert avoids(Permutation((3, 2, 1)), (1, 2))
         assert contains(Permutation((1, 3, 2, 4)), (1, 3, 2, 4))
         assert avoids(Permutation((4, 3, 2, 1)), (1, 2, 3, 4))
+
+
+# Every library function that takes a pattern, applied to one pattern.
+_PATTERN_USES = {
+    "contains": lambda pattern: [contains(p, pattern) for p in all_perms(4)],
+    "contains_naive": lambda pattern: [contains_naive(p, pattern) for p in all_perms(4)],
+    "avoids": lambda pattern: [avoids(p, pattern) for p in all_perms(4)],
+    "enumerate_avoiders": lambda pattern: list(enumerate_avoiders(5, pattern)),
+    "avoider_poly": lambda pattern: avoider_poly(5, pattern, lambda s: (s.des, s.maj, s.imaj)),
+    "tristat_gf": lambda pattern: tristat_gf(5, pattern),
+}
+_PATTERN_FORMS = [231, "231", (2, 3, 1), Permutation((2, 3, 1))]
+
+
+class TestPatternForms:
+    @pytest.mark.parametrize("use", list(_PATTERN_USES))
+    def test_every_form_gives_the_same_result(self, use):
+        results = [_PATTERN_USES[use](pattern) for pattern in _PATTERN_FORMS]
+        assert all(result == results[0] for result in results)
+
+    @pytest.mark.parametrize("pattern", ["01", "0231", "11", 999, (1, 1)], ids=repr)
+    @pytest.mark.parametrize("use", list(_PATTERN_USES))
+    def test_a_non_permutation_is_named_as_given(self, use, pattern):
+        message = f"pattern must be a permutation like 231, got {pattern!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _PATTERN_USES[use](pattern)
+
+    @pytest.mark.parametrize("pattern", ["x", "", "2 3 1", "²³¹", -231], ids=repr)
+    def test_non_digits_are_named_as_given(self, pattern):
+        message = f"pattern must be digits like 231, got {pattern!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _pattern_word(pattern)
+
+    @pytest.mark.parametrize("pattern", _PATTERN_FORMS, ids=repr)
+    def test_one_permutation_per_parse(self, monkeypatch, pattern):
+        built = []
+        post_init = Permutation.__post_init__
+        monkeypatch.setattr(Permutation, "__post_init__", lambda p: built.append(post_init(p)))
+        assert _pattern_word(pattern) == (2, 3, 1)
+        assert len(built) == 1
+
+    def test_pattern_is_parsed_before_the_size(self):
+        with pytest.raises(ValueError, match="pattern must be"):
+            enumerate_avoiders(0, "11")
+        with pytest.raises(ValueError, match="pattern must be"):
+            enumerate_avoiders(13, "x")
 
 
 class TestEnumeration:

@@ -277,6 +277,8 @@ class TestTristat:
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match=r"^pattern must be one of \[123, 132, 213, 231, 312, 321\]$"):
+            tristat_gf(3, 2413)
+        with pytest.raises(ValueError, match=r"^pattern must be a permutation like 231, got 999$"):
             tristat_gf(3, 999)
         with pytest.raises(ValueError):
             tristat_gf(3, 231, "sideways")

@@ -126,7 +126,39 @@ class TestEvacuation:
                 assert RQ == evacuation(Q)
 
 
+def recursive_standard_tableaux(n):
+    """Oracle: the recursive stream the loop replaced, placing 1, 2, ..., n
+    at every addable corner in row order."""
+    rows = []
+
+    def walk(k):
+        if k > n:
+            yield StandardTableau(tuple(tuple(r) for r in rows))
+            return
+        for r in range(len(rows) + 1):
+            if r < len(rows):
+                if r > 0 and len(rows[r]) >= len(rows[r - 1]):
+                    continue
+                rows[r].append(k)
+                yield from walk(k + 1)
+                rows[r].pop()
+            else:
+                rows.append([k])
+                yield from walk(k + 1)
+                rows.pop()
+
+    return walk(1)
+
+
 class TestEnumerateTableaux:
+    def test_order_equals_the_recursive_oracle(self):
+        for n in range(1, 9):
+            assert list(standard_tableaux(n)) == list(recursive_standard_tableaux(n))
+
+    def test_deep_stream_starts_with_one_row(self):
+        # far deeper than the recursion limit
+        assert next(standard_tableaux(2000)).rows == (tuple(range(1, 2001)),)
+
     def test_counts(self):
         for n in range(1, 9):
             assert sum(1 for _ in standard_tableaux(n)) == INVOLUTION_COUNTS[n]

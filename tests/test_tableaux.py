@@ -127,8 +127,8 @@ class TestEvacuation:
 
 
 def recursive_standard_tableaux(n):
-    """Oracle: the recursive stream the loop replaced, placing 1, 2, ..., n
-    at every addable corner in row order."""
+    """Oracle: the same stream by recursion, placing 1, 2, ..., n at every
+    addable corner in row order."""
     rows = []
 
     def walk(k):

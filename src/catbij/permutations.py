@@ -307,13 +307,16 @@ def enumerate_avoiders(
     For a length-3 pattern ``banned[k]`` is the union of the bans of the
     first k values.  Bans only grow, so a prefix that bans a still-free value
     has no avoiding completion: pruning it is exact, and it keeps every free
-    value unbanned, so each candidate costs one mask test.  Other pattern
-    lengths test each candidate with ``contains_naive``.  A bad pattern is
+    value unbanned, so each candidate costs one mask test.  Other patterns
+    test v only against the copies it would end, as the prefix avoids: the
+    shorter subsequences of the prefix followed by v.  A bad pattern is
     reported before a bad size.
     """
     pat = _pattern_word(pattern)
     _check_size(n, max_n)
     masked = len(pat) == 3
+    places = range(len(pat))
+    rank = tuple(sorted(places, key=pat.__getitem__))
 
     def walk() -> Iterator[Permutation]:
         prefix: list[int] = []
@@ -333,7 +336,8 @@ def enumerate_avoiders(
                     ban = banned[k] | _bans(pat, full ^ free, v)
                     if not ban & (free ^ bit):
                         break
-                elif not contains_naive([*prefix, v], pat):
+                elif not any(tuple(sorted(places, key=(*head, v).__getitem__)) == rank
+                             for head in itertools.combinations(prefix, len(pat) - 1)):
                     ban = 0
                     break
             else:

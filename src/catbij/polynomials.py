@@ -23,7 +23,7 @@ up to which they check it:
                            are q-binomials read from the Pascal table,
 - ``kd_search``         -- nonnegative per-path shifts matching the
                            (maj1, C(n,2)-maj0) bistatistic onto cat_qt, by a
-                           greedy fill of the diagonals alpha - beta.
+                           sorted matching on each diagonal alpha - beta.
 
 The closed routes enumerate nothing, yet keep the size rule of the streams,
 ``permutations._check_size``: n < 1 raises ValueError and n > max_n raises
@@ -34,7 +34,9 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 from math import comb
+from operator import itemgetter
 from typing import Callable, Mapping
 
 import json
@@ -294,14 +296,24 @@ def avoider_poly(
 # closed routes: the valley DP and the Garsia-Haglund recursion
 # ---------------------------------------------------------------------------
 
-def _valley_gf(n: int) -> Counter:
-    """Dyck paths of semilength n counted by (valleys, sum of x, sum of y).
+def _term_map(p: MultiPoly, key: Callable[[int, int, int], Exponents]) -> MultiPoly:
+    """p with each term moved to key(e_a, e_q, e_t); terms that land together add."""
+    out: Counter = Counter()
+    for exponents, c in p._terms.items():
+        out[key(*exponents)] += c
+    return MultiPoly(out)
+
+
+def _valley_gf(n: int, max_n: int) -> MultiPoly:
+    """Dyck paths counted by a^valleys q^(sum of x) t^(sum of y): by ``phi``,
+    the (des, maj, imaj) polynomial of the 231-avoiders.
 
     A transfer DP over the state (norths i, easts j, last step was east).  A
     north step right after an east step closes a valley at x = j, y = i (the
     convention of ``dyck._valley_points``), so it sends the key (k, X, Y) to
     (k + 1, X + j, Y + i).
     """
+    _check_size(n, max_n)
     layer = {(0, 0, False): Counter({(0, 0, 0): 1})}
     for _ in range(2 * n):
         following: defaultdict[tuple[int, int, bool], Counter] = defaultdict(Counter)
@@ -316,16 +328,7 @@ def _valley_gf(n: int) -> Counter:
             if j < i:
                 following[i, j + 1, True].update(gf)
         layer = following
-    return layer[n, n, True]
-
-
-def _valley_poly(n: int, max_n: int, key: Callable[[int, int, int], Exponents]) -> MultiPoly:
-    """The valley DP mapped term by term: (k, X, Y) becomes key(k, X, Y)."""
-    _check_size(n, max_n)
-    out: Counter = Counter()
-    for (k, x, y), c in _valley_gf(n).items():
-        out[key(k, x, y)] += c
-    return MultiPoly(out)
+    return MultiPoly._of(layer[n, n, True])  # counts: no exponent is negative
 
 
 def a_poly(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
@@ -337,7 +340,7 @@ def a_poly(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
     >>> str(a_poly(2))
     'q + t'
     """
-    return _valley_poly(n, max_n, lambda k, x, y: (0, x, comb(n, 2) - y))
+    return _term_map(_valley_gf(n, max_n), lambda k, x, y: (0, x, comb(n, 2) - y))
 
 
 def a_poly_via_paths(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
@@ -380,7 +383,7 @@ def macmahon_q_catalan(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
     >>> str(macmahon_q_catalan(3))
     'q^6 + q^4 + q^3 + q^2 + 1'
     """
-    return _valley_poly(n, max_n, lambda k, x, y: (0, x + y, 0))
+    return _term_map(_valley_gf(n, max_n), lambda k, x, y: (0, x + y, 0))
 
 
 def macmahon_q_catalan_quotient(n: int) -> MultiPoly:
@@ -399,9 +402,9 @@ def macmahon_q_catalan_quotient(n: int) -> MultiPoly:
     return binomial[n] - Q * binomial[n + 1]
 
 
-# (des, maj, imaj) of a class as a term map of the valley DP's (k, X, Y):
-# phi sends 231-avoiders to paths with (Des, iDes) = (X, Y); 312-avoiders are
-# their inverses; kappa sends 132-avoiders to (X, {n - y}); 213 is the
+# (des, maj, imaj) of a class as a term map of the 231 polynomial: 312-avoiders
+# are the inverses of 231-avoiders; kappa sends 132-avoiders to paths with
+# (Des, iDes) = (X, {n - y}) where phi gives (X, Y); 213 is the
 # reverse-complement of 132.
 _VALLEY_KEYS: dict[tuple[int, ...], Callable[[int, int, int, int], Exponents]] = {
     (2, 3, 1): lambda n, k, x, y: (k, x, y),
@@ -432,18 +435,21 @@ def tristat_gf(
     if orientation not in ("plain", "complemented"):
         raise ValueError(f"unknown orientation {orientation!r}")
     if word in _VALLEY_KEYS:
-        plain = _valley_poly(n, max_n, partial(_VALLEY_KEYS[word], n))
+        plain = _term_map(_valley_gf(n, max_n), partial(_VALLEY_KEYS[word], n))
     else:
         plain = avoider_poly(n, word, lambda s: (s.des, s.maj, s.imaj), max_n)
-    if orientation == "plain":
-        return plain
+    return plain if orientation == "plain" else _complemented(plain, n)
+
+
+def _complemented(p: MultiPoly, n: int) -> MultiPoly:
+    """Each term a^d q^x t^y becomes a^(n-1-d) q^(C(n,2)-x) t^(C(n,2)-y)."""
     shift = comb(n, 2)
-    return MultiPoly({(n - 1 - d, shift - a, shift - b): c for (d, a, b), c in plain.terms()})
+    return _term_map(p, lambda d, x, y: (n - 1 - d, shift - x, shift - y))
 
 
 def qt_swap(p: MultiPoly) -> MultiPoly:
     """Exchange the q- and t-exponents of every term."""
-    return MultiPoly({(ea, et, eq): c for (ea, eq, et), c in p.terms()})
+    return _term_map(p, lambda ea, eq, et: (ea, et, eq))
 
 
 def t_to_q_inverse_shifted(p: MultiPoly, n: int) -> MultiPoly:
@@ -451,17 +457,14 @@ def t_to_q_inverse_shifted(p: MultiPoly, n: int) -> MultiPoly:
     t-exponent onto q as e_q + C(n,2) - e_t.  Raises NegativeExponent when
     the shift is insufficient."""
     shift = comb(n, 2)
-    out: dict[Exponents, int] = {}
-    for (ea, eq, et), c in p.terms():
-        e = eq + shift - et
-        if e < 0:
-            raise NegativeExponent(
-                f"term with exponents (a={ea}, q={eq}, t={et}) needs shift {et - eq}"
-                f" > C({n},2) = {shift}"
-            )
-        key = (ea, e, 0)
-        out[key] = out.get(key, 0) + c
-    return MultiPoly(out)
+
+    def onto_q(ea: int, eq: int, et: int) -> Exponents:
+        if eq + shift < et:
+            raise NegativeExponent(f"term with exponents (a={ea}, q={eq}, t={et}) needs"
+                                   f" shift {et - eq} > C({n},2) = {shift}")
+        return (ea, eq + shift - et, 0)
+
+    return _term_map(p, onto_q)
 
 
 # ---------------------------------------------------------------------------
@@ -580,59 +583,38 @@ class KdResult:
         )
 
 
-def _compatibility(n: int, max_n: int):
-    """Paths, their options with forced shifts, and the target multiplicities.
-    The target is indexed by diagonal, alpha - beta + C(n,2) = maj, and a
-    path's options are the part alpha <= maj1 of its diagonal, sorted by alpha."""
-    target = {(eq, et): c for (_, eq, et), c in cat_qt(n, max_n=max_n).terms()}
-    diagonals: dict[int, list[tuple[int, int]]] = {}
-    for alpha, beta in sorted(target):
-        diagonals.setdefault(alpha - beta + comb(n, 2), []).append((alpha, beta))
-    paths = list(enumerate_dyck(n, max_n=max_n))  # lex order is str order
-    options: dict[DyckPath, list[tuple[tuple[int, int], int]]] = {}
+def _diagonals(n: int, max_n: int) -> tuple[list[DyckPath], list[tuple[list, list[int]]]]:
+    """The paths in lex order and, per diagonal maj = alpha - beta + C(n,2),
+    its paths as (maj1, path) sorted stably by maj1 with the ascending alphas
+    of its cat_qt(n) monomial copies.  Unequal counts raise NoAssignment."""
+    shift = comb(n, 2)
+    alphas: defaultdict[int, list[int]] = defaultdict(list)
+    for (_, alpha, beta), c in reversed(cat_qt(n, max_n=max_n).terms()):
+        alphas[alpha - beta + shift] += [alpha] * c
+    paths = list(enumerate_dyck(n, max_n=max_n))
+    members: defaultdict[int, list[tuple[int, DyckPath]]] = defaultdict(list)
     for D in paths:
         s = path_stats(D)
-        options[D] = [(m, s.maj1 - m[0]) for m in diagonals.get(s.maj, []) if m[0] <= s.maj1]
-        if not options[D]:
-            raise NoAssignment(f"path {D} matches no target monomial at n={n}")
-    return paths, options, target
+        members[s.maj].append((s.maj1, D))
+    for d in sorted(members.keys() | alphas.keys()):
+        if len(members[d]) != len(alphas[d]):
+            raise NoAssignment(f"n={n}: diagonal maj={d} holds {len(members[d])} paths"
+                               f" and {len(alphas[d])} target monomials")
+    return paths, [(sorted(members[d], key=itemgetter(0)), alphas[d]) for d in members]
 
 
-def _all_assignments(paths, options, capacity):
-    """Backtracking over capacitated choices, most-constrained path first."""
-    order = sorted(paths, key=lambda D: (len(options[D]), str(D)))
-    chosen: dict[DyckPath, int] = {}
-
-    def walk(i):
-        if i == len(order):
-            yield dict(chosen)
-            return
-        D = order[i]
-        for mono, k in options[D]:
-            if capacity[mono] > 0:
-                capacity[mono] -= 1
-                chosen[D] = k
-                yield from walk(i + 1)
-                capacity[mono] += 1
-        chosen.pop(D, None)
-
-    yield from walk(0)
-
-
-def _one_assignment(paths, options, capacity):
-    """Greedy, exact by Hall's condition: fewest options first, each path on
-    its first monomial with room left.  Lists sharing a monomial are nested
-    prefixes of one diagonal, so a full prefix plus this path violates Hall."""
-    chosen: dict[DyckPath, int] = {}
-    for D in sorted(paths, key=lambda D: (len(options[D]), str(D))):
-        for mono, k in options[D]:
-            if capacity[mono] > 0:
-                capacity[mono] -= 1
-                chosen[D] = k
-                break
-        else:
-            raise NoAssignment(f"no perfect matching extends through path {D}")
-    return chosen
+def _arrangements(members: list[tuple[int, DyckPath]], alphas: list[int]) -> list[dict[DyckPath, int]]:
+    """Every distinct shift map giving each path of one diagonal an alpha <=
+    its maj1.  Taken in ascending maj1, no partial map is a dead end."""
+    partial = [({}, tuple(alphas))]
+    for maj1, D in members:
+        partial = [
+            ({**shifts, D: maj1 - a}, left[:i] + left[i + 1:])
+            for shifts, left in partial
+            for i, a in enumerate(left)
+            if a <= maj1 and (i == 0 or a != left[i - 1])
+        ]
+    return [shifts for shifts, _ in partial]
 
 
 def kd_search(
@@ -644,11 +626,15 @@ def kd_search(
     all Dyck paths with the monomial multiset of cat_qt(n).
 
     A path fits a target monomial (alpha, beta) exactly when alpha - beta =
-    maj - C(n,2) and alpha <= maj1, which forces its shift maj1 - alpha.
-    Backtracking lists every assignment (the default for n <= 5, see
-    ``exhaustive``), a greedy fill of the diagonals finds one; raises
-    NoAssignment when none exists.  The complete set is too large to list
-    from n = 6 on, so asking for it there raises ValueError at once.
+    maj - C(n,2) and alpha <= maj1, which forces its shift maj1 - alpha, so
+    its fitting monomials are a prefix of its diagonal sorted by alpha.  On
+    each diagonal, with as many paths as copies, the paths sorted by maj1
+    are zipped with the copies sorted by alpha: by Hall's theorem on the
+    nested prefixes an assignment exists iff every copy fits its path, else
+    NoAssignment is raised.  The complete set (the default for n <= 5, see
+    ``exhaustive``) is the product over the diagonals of their distinct
+    arrangements; from n = 6 on it is too large to list, so asking for it
+    there raises ValueError at once.
 
     >>> len(kd_search(4).assignments)
     2
@@ -660,12 +646,20 @@ def kd_search(
     if all_assignments and n > 5:
         raise ValueError(f"exhaustive kd search is limited to n <= 5, got n={n}; "
                          "pass all_assignments=False for one assignment")
-    paths, options, target = _compatibility(n, max_n)
-    if all_assignments:
-        found = list(_all_assignments(paths, options, dict(target)))
-        if not found:
-            raise NoAssignment(f"no shift assignment exists at n={n}")
-        found.sort(key=lambda a: tuple(a[D] for D in paths))
-        return KdResult(n=n, assignments=tuple(found), exhaustive=True)
-    single = _one_assignment(paths, options, dict(target))
-    return KdResult(n=n, assignments=(single,), exhaustive=False)
+    paths, diagonals = _diagonals(n, max_n)
+    chosen = dict.fromkeys(paths, 0)
+    for members, alphas in diagonals:
+        for (maj1, D), alpha in zip(members, alphas):
+            if alpha > maj1:
+                raise NoAssignment(f"n={n}: no target monomial is left for path {D}")
+            chosen[D] = maj1 - alpha
+    if not all_assignments:
+        return KdResult(n=n, assignments=(chosen,), exhaustive=False)
+    found = []
+    for parts in product(*(_arrangements(*diagonal) for diagonal in diagonals)):
+        merged = chosen.copy()  # copies and updates reuse the stored key hashes
+        for part in parts:
+            merged.update(part)
+        found.append(merged)
+    found.sort(key=lambda a: tuple(a.values()))  # the shifts in lex order of the paths
+    return KdResult(n=n, assignments=tuple(found), exhaustive=True)

@@ -19,7 +19,6 @@ acceptance tests assert on them directly.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Any, Callable, Iterable, Iterator
@@ -325,19 +324,13 @@ def suite_gf(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 
 def _drop_a(p: polynomials.MultiPoly) -> polynomials.MultiPoly:
     """Specialize a = 1 by collapsing the a-exponent."""
-    out: Counter = Counter()
-    for (_, eq, et), c in p.terms():
-        out[0, eq, et] += c
-    return polynomials.MultiPoly(out)
+    return polynomials._term_map(p, lambda _, eq, et: (0, eq, et))
 
 
 def suite_tristat(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     def gf(n: int, pattern: int, orientation: str) -> polynomials.MultiPoly:
-        shift = comb(n, 2)
-        if orientation == "plain":
-            return polynomials.avoider_poly(n, pattern, lambda s: (s.des, s.maj, s.imaj), max_n=max_n)
-        return polynomials.avoider_poly(
-            n, pattern, lambda s: (n - 1 - s.des, shift - s.maj, shift - s.imaj), max_n=max_n)
+        plain = polynomials.avoider_poly(n, pattern, lambda s: (s.des, s.maj, s.imaj), max_n=max_n)
+        return plain if orientation == "plain" else polynomials._complemented(plain, n)
 
     def agree(plain: int, complemented: int) -> Callable[[int], bool]:
         return lambda n: gf(n, plain, "plain") == gf(n, complemented, "complemented")
@@ -411,17 +404,25 @@ def suite_kd(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     def search(n: int, exhaustive: bool) -> polynomials.KdResult:
         return polynomials.kd_search(n, all_assignments=exhaustive, max_n=max_n)
 
-    def exists(n: int, _) -> str | None:
-        try:
-            search(n, False)
-        except polynomials.NoAssignment as exc:
-            return f"n={n}: {exc}"
-        return None
+    def assigned(failure: Callable[..., str | None]) -> Callable[..., str | None]:
+        """The failure test with NoAssignment reported as its counterexample."""
+        def test(*args) -> str | None:
+            try:
+                return failure(*args)
+            except polynomials.NoAssignment as exc:
+                return str(exc)
+        return test
 
+    @assigned
+    def exists(n: int, _) -> None:
+        search(n, False)
+
+    @assigned
     def unique_zero() -> str | None:
         found = search(3, True).assignments
         return f"got {len(found)} assignments" if len(found) != 1 or any(found[0].values()) else None
 
+    @assigned
     def two_at_four() -> str | None:
         summaries = sorted(
             ",".join(f"{D}:{k}" for D, k in sorted(a.items(), key=lambda x: str(x[0])) if k)

@@ -354,15 +354,15 @@ class TestEnumerate:
     def test_closed_pipe_is_exit_0(self, argv):
         # The reader takes the start of the output and hangs up, as `| head` does.
         src = str(Path(catbij.__file__).resolve().parents[1])
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "catbij", *argv],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": src},
-        )
-        assert os.read(proc.stdout.fileno(), 100)
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 0
+        ) as proc:
+            assert os.read(proc.stdout.fileno(), 100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
         assert err == b""
 
     @pytest.mark.parametrize(

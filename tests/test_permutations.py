@@ -227,12 +227,14 @@ class TestEnumeration:
 
     @pytest.mark.parametrize(
         "pattern",
-        [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1), (2, 4, 1, 3), (1,), (1, 2), (2, 1)],
+        [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1), (2, 4, 1, 3), (1, 3, 4, 2),
+         (2, 4, 1, 5, 3), (1,), (1, 2), (2, 1)],
         ids=lambda pattern: "".join(map(str, pattern)),
     )
     def test_stream_is_the_lex_filter_of_the_oracle(self, pattern):
-        # length 3 takes the ban-mask route, every other length the naive test
-        top = {3: 8, 4: 7}.get(len(pattern), 6)
+        # length 3 takes the ban-mask route, every other length the test of the
+        # copies a new value would end
+        top = {3: 8, 4: 7, 5: 7}.get(len(pattern), 6)
         want = [()]
         for n in range(1, top + 1):
             # Each word of S_n is one (n-1)-word with its values >= v shifted
@@ -242,6 +244,14 @@ class TestEnumeration:
             extended = (tuple(x + (x >= v) for x in u) + (v,) for u in want for v in range(1, n + 1))
             want = sorted(w for w in extended if not contains_naive(w, pattern))
             assert [p.word for p in enumerate_avoiders(n, pattern)] == want
+
+    def test_longer_pattern_builds_one_permutation_per_avoider(self, monkeypatch):
+        # plus one for the pattern's parse; the candidate tests build none
+        built = []
+        post_init = Permutation.__post_init__
+        monkeypatch.setattr(Permutation, "__post_init__", lambda p: built.append(post_init(p)))
+        assert sum(1 for _ in enumerate_avoiders(7, 2413)) == 2740
+        assert len(built) == 2741
 
     def test_every_emitted_permutation_avoids(self):
         for p in enumerate_avoiders(6, 132):

@@ -343,6 +343,47 @@ class TestSeriesIdentity:
             assert len(calls) == 2 * (N + 1)
 
 
+def _backtracked_assignments(n: int) -> list[dict]:
+    """Oracle for ``kd_search``: every shift assignment at n, by plain
+    backtracking over the target monomials each path reaches with some
+    k >= 0, most constrained path first, in kd_search's order."""
+    from math import comb
+
+    from catbij import enumerate_dyck, polynomials
+
+    capacity = {(eq, et): c for (_, eq, et), c in polynomials.cat_qt(n).terms()}
+    paths = list(enumerate_dyck(n))
+    options = {}
+    for D in paths:
+        s = path_stats(D)
+        reach = ((m, s.maj1 - m[0]) for m in capacity)
+        options[D] = [(m, k) for m, k in reach if k >= 0 and m[1] == comb(n, 2) - s.maj0 - k]
+    order = sorted(paths, key=lambda D: len(options[D]))
+    chosen: dict = {}
+
+    def walk(i):
+        if i == len(order):
+            if not any(capacity.values()):  # every target copy is used
+                yield dict(chosen)
+            return
+        for mono, k in options[order[i]]:
+            if capacity[mono]:
+                capacity[mono] -= 1
+                chosen[order[i]] = k
+                yield from walk(i + 1)
+                capacity[mono] += 1
+
+    return sorted(walk(0), key=lambda a: [a[D] for D in paths])
+
+
+def _with_surplus(monkeypatch, extra):
+    """Make cat_qt(n) carry the additional monomial extra(n)."""
+    from catbij import polynomials
+
+    plain = polynomials.cat_qt
+    monkeypatch.setattr(polynomials, "cat_qt", lambda n, max_n=12: plain(n, max_n) + extra(n))
+
+
 class TestKdSearch:
     def test_n3_unique_all_zero(self):
         result = kd_search(3)
@@ -359,42 +400,56 @@ class TestKdSearch:
         )
         assert nonzero == [("00011101", 1), ("01010011", 1)]
 
+    def test_all_assignments_equal_the_backtracked_oracle(self):
+        counts = []
+        for n in range(1, 6):
+            found = kd_search(n).assignments
+            assert list(found) == _backtracked_assignments(n)
+            counts.append(len(found))
+        assert counts == [1, 1, 1, 2, 4608]
+
     def test_assignments_are_valid(self):
+        from collections import Counter
         from math import comb
 
-        from catbij import enumerate_dyck, path_stats
+        from catbij import enumerate_dyck
 
-        for n in range(3, 9):  # every assignment for n <= 5, a single one above
-            result = kd_search(n)
+        # the single assignment; the oracle test covers every one for n <= 5
+        for n in range(1, 11):
+            (assignment,) = kd_search(n, all_assignments=False).assignments
             shift = comb(n, 2)
             target = {(eq, et): c for (_, eq, et), c in cat_qt(n).terms()}
-            stats = {D: path_stats(D) for D in enumerate_dyck(n)}
-            for assignment in result.assignments:
-                assert assignment.keys() == stats.keys()
-                got: dict = {}
-                for D, k in assignment.items():
-                    assert k >= 0
-                    s = stats[D]
-                    key = (s.maj1 - k, shift - s.maj0 - k)
-                    got[key] = got.get(key, 0) + 1
-                assert got == target
+            paths = list(enumerate_dyck(n))
+            assert list(assignment) == paths and min(assignment.values()) >= 0
+            got = Counter()
+            for D, s in zip(paths, map(path_stats, paths)):
+                k = assignment[D]
+                got[s.maj1 - k, shift - s.maj0 - k] += 1
+            assert dict(got) == target
 
     def test_options_are_diagonal_prefixes(self):
-        # The greedy in single mode is exact because of this nesting.
+        # The sorted matching is exact because of this nesting.
         from math import comb
 
-        from catbij import path_stats
-        from catbij.polynomials import _compatibility
+        from catbij import enumerate_dyck
+        from catbij.polynomials import _diagonals
 
         for n in range(1, 9):
-            paths, options, target = _compatibility(n, max_n=12)
+            target = sorted((eq, et) for (_, eq, et), _ in cat_qt(n).terms())
+            paths, diagonals = _diagonals(n, max_n=12)
+            assert paths == list(enumerate_dyck(n))
             for D in paths:
                 s = path_stats(D)
-                diagonal = sorted(m for m in target if m[0] - m[1] == s.maj - comb(n, 2))
-                monos = [mono for mono, _ in options[D]]
-                assert monos == diagonal[: len(monos)]
-                assert all(alpha > s.maj1 for alpha, _ in diagonal[len(monos):])
-                assert [k for _, k in options[D]] == [s.maj1 - alpha for alpha, _ in monos]
+                diagonal = [m for m in target if m[0] - m[1] == s.maj - comb(n, 2)]
+                fits = [m for m in diagonal if 0 <= s.maj1 - m[0] == comb(n, 2) - s.maj0 - m[1]]
+                assert fits == diagonal[: len(fits)]
+                assert all(alpha > s.maj1 for alpha, _ in diagonal[len(fits):])
+            lex = {D: i for i, D in enumerate(paths)}
+            placed = sorted(lex[D] for members, _ in diagonals for _, D in members)
+            assert placed == list(range(len(paths)))
+            for members, alphas in diagonals:
+                assert [(maj1, lex[D]) for maj1, D in members] == sorted((maj1, lex[D]) for maj1, D in members)
+                assert alphas == sorted(alphas) and len(members) == len(alphas)
 
     def test_single_assignment_is_among_all(self):
         for n in range(1, 6):
@@ -422,12 +477,48 @@ class TestKdSearch:
         assert data["assignments"][0]["01010011"] == 1
         assert data["assignments"][1]["00011101"] == 1
 
-    def test_no_assignment_raises(self):
-        from catbij.polynomials import _all_assignments, _one_assignment
+    def test_no_assignment_raises(self, monkeypatch):
+        # The top monomial of a diagonal moves up it, past every path's maj1:
+        # the counts still agree, but the last path has nowhere to go.
+        from catbij import polynomials
 
-        # two paths competing for one slot
-        paths = ["p1", "p2"]
-        options = {"p1": [((0, 0), 0)], "p2": [((0, 0), 0)]}
-        with pytest.raises(NoAssignment):
-            _one_assignment(paths, options, {(0, 0): 1})
-        assert list(_all_assignments(paths, options, {(0, 0): 1})) == []
+        plain = polynomials.cat_qt
+
+        def raised(n, max_n=12):
+            p = plain(n, max_n)
+            (_, a, b), _ = max(p.terms(), key=lambda term: term[0][1])
+            return p - MultiPoly.term(1, q=a, t=b) + MultiPoly.term(1, q=a + 1, t=b + 1)
+
+        monkeypatch.setattr(polynomials, "cat_qt", raised)
+        for n in range(2, 6):
+            for exhaustive in (True, False):
+                with pytest.raises(NoAssignment, match=f"n={n}: no target monomial is left for path"):
+                    kd_search(n, all_assignments=exhaustive)
+            assert _backtracked_assignments(n) == []
+
+    @pytest.mark.parametrize(
+        "extra",
+        [lambda n: MultiPoly.term(1, q=n * (n - 1) // 2), lambda n: MultiPoly.term(1, t=n * n)],
+        ids=["diagonal-with-paths", "diagonal-without-paths"],
+    )
+    def test_surplus_target_raises(self, monkeypatch, extra):
+        _with_surplus(monkeypatch, extra)
+        for n in range(1, 8):
+            for exhaustive in (True, False)[n > 5:]:
+                with pytest.raises(NoAssignment, match=f"n={n}: diagonal maj=.* paths and"):
+                    kd_search(n, all_assignments=exhaustive)
+        assert all(_backtracked_assignments(n) == [] for n in range(1, 5))
+
+    @pytest.mark.parametrize(
+        "extra",
+        [lambda n: MultiPoly.term(1, q=n * (n - 1) // 2), lambda n: MultiPoly.term(1, t=n * n)],
+        ids=["diagonal-with-paths", "diagonal-without-paths"],
+    )
+    def test_surplus_target_fails_verify(self, monkeypatch, capsys, extra):
+        from catbij import cli
+
+        _with_surplus(monkeypatch, extra)
+        assert cli.main(["verify", "kd", "6"]) == 1
+        out, err = capsys.readouterr()
+        assert "FAIL  a shift assignment exists for every n<=6  [counterexample: n=1: " in out
+        assert err == ""

@@ -85,7 +85,6 @@ from .polynomials import (
     macmahon_q_catalan_quotient,
     path_poly,
     q_binomial,
-    q_int,
     qt_swap,
     t_to_q_inverse_shifted,
     tristat_gf,

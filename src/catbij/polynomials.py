@@ -229,13 +229,6 @@ T = MultiPoly.term(1, t=1)
 # q-analogs
 # ---------------------------------------------------------------------------
 
-def q_int(k: int) -> MultiPoly:
-    """[k]_q = 1 + q + ... + q^(k-1)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return MultiPoly({(0, e, 0): 1 for e in range(k)})
-
-
 def _pascal(m: int) -> list[list[MultiPoly]]:
     """Rows 0..m of Gaussian binomials, rows[k][l] = [k, l]_q, by the Pascal
     recurrence [k, l] = [k-1, l-1] + q^l [k-1, l]; no rational arithmetic."""

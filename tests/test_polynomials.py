@@ -19,7 +19,6 @@ from catbij import (
     path_poly,
     path_stats,
     q_binomial,
-    q_int,
     qt_swap,
     t_to_q_inverse_shifted,
     tristat_gf,

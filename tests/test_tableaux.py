@@ -16,6 +16,7 @@ from catbij import (
     standard_tableaux,
     tableau_descents,
 )
+from catbij.verification import run_suite
 from conftest import all_perms
 
 # number of standard Young tableaux with n cells (= involutions of S_n)
@@ -42,6 +43,43 @@ class TestStandardTableau:
     def test_invalid_rejected(self, rows):
         with pytest.raises(ValueError):
             StandardTableau(rows)
+
+
+class TestTrustedConstructor:
+    """The tableaux built by rsk, evacuation and standard_tableaux skip
+    validation; each must equal, and hash like, its validated twin."""
+
+    @staticmethod
+    def assert_validated_twin(T):
+        twin = StandardTableau(T.rows)
+        assert T == twin
+        assert hash(T) == hash(twin)
+
+    def test_rsk(self):
+        for n in range(1, 7):
+            for p in all_perms(n):
+                for T in rsk(p):
+                    self.assert_validated_twin(T)
+
+    def test_standard_tableaux_and_evacuation(self):
+        for n in range(1, 8):
+            for T in standard_tableaux(n):
+                self.assert_validated_twin(T)
+                self.assert_validated_twin(evacuation(T))
+
+    def test_rsk_j_suite_validates_no_tableau(self, monkeypatch):
+        calls = []
+        validate = StandardTableau.__post_init__
+
+        def counting(self):
+            calls.append(1)
+            validate(self)
+
+        monkeypatch.setattr(StandardTableau, "__post_init__", counting)
+        assert all(c.passed for c in run_suite("rsk-j", 5))
+        assert not calls
+        StandardTableau(((1, 2),))
+        assert len(calls) == 1
 
 
 class TestRsk:
@@ -180,6 +218,21 @@ class TestJInvolution:
     def test_rejects_non_avoider(self):
         with pytest.raises(NotAvoiding321):
             j_involution(Permutation((3, 2, 1)))
+
+    def test_rejects_non_avoider_without_check(self):
+        # a bump below the end of row 2 starts a third row; (3, 2, 1) first
+        for n in range(3, 7):
+            for p in all_perms(n):
+                if not avoids(p, (3, 2, 1)):
+                    with pytest.raises(NotAvoiding321):
+                        j_involution(p, check=False)
+
+    def test_equals_the_tableau_route(self):
+        # oracle: evacuate the insertion tableau as a tableau
+        for n in range(1, 10):
+            for p in enumerate_avoiders(n, 321):
+                P, Q = rsk(p)
+                assert j_involution(p) == inverse_rsk(evacuation(P), Q)
 
     def test_involution_and_descents(self):
         for n in range(1, 7):

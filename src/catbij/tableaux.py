@@ -8,12 +8,10 @@ rows.  ``evacuation`` is the shape-preserving involution on standard
 tableaux that complement-reverses the descent set; conjugating the P-side
 by it yields ``j_involution`` on 321-avoiders.
 
-``j_involution`` does not build tableaux.  On two rows a standard tableau is
-a ballot word (letter k of the word is the row of entry k), and each step
-of w -> (P, Q) -> (evacuation(P), Q) -> image is a map on plain lists;
-the tests check it against ``rsk``, ``evacuation`` and ``inverse_rsk``.  The
-tableaux that ``rsk``, ``evacuation`` and ``standard_tableaux`` build are
-valid by construction and skip the checks of the public constructor.
+The tableaux that ``rsk``, ``evacuation`` and ``standard_tableaux`` build are
+valid by construction and skip the checks of the public constructor; the
+evacuation check of ``verify rsk-j`` puts each tableau of the stream and its
+image through those checks once.
 """
 from __future__ import annotations
 
@@ -179,60 +177,18 @@ def j_involution(p: Permutation, check: bool = True) -> Permutation:
     tableau: w -> (P, Q) -> (evacuation(P), Q) -> image.
 
     Keeps Des fixed and maps iDes to {n - j : j in iDes}; the image avoids
-    321 because evacuation preserves the (at most two-row) shape.
-
-    Each step works on two-row words.  Inserting w bumps each value at most
-    once, to the end of row 2, and Q is kept as its ballot word.  Evacuating
-    P reverses P's ballot word and swaps the letters of each matched (1, 2)
-    pair, leaving the unmatched 1s alone.  Reverse bumping then costs one
-    bisection per row-2 entry.  A bumped value below the end of row 2 would
-    start a third row, so a 321-containing w raises NotAvoiding321 even with
-    ``check=False``.
+    321 because evacuation preserves the (at most two-row) shape.  A third
+    row in P means w contains 321, so such a w raises NotAvoiding321 even
+    with ``check=False``.
 
     >>> j_involution(Permutation((2, 3, 1))).word
     (1, 3, 2)
     """
     _require_avoids(p, NotAvoiding321, check)
-    top: list[int] = []
-    bottom: list[int] = []
-    q_word: list[int] = []
-    for v in p.word:
-        if not top or v > top[-1]:
-            top.append(v)
-            q_word.append(1)
-            continue
-        i = bisect_left(top, v)
-        bumped, top[i] = top[i], v
-        if bottom and bumped < bottom[-1]:
-            raise NotAvoiding321(p.word)
-        bottom.append(bumped)
-        q_word.append(2)
-
-    # evacuation(P): entry n + 1 - u goes to row 2 for each 1 at u matched
-    # by a later 2 in P's ballot word; every other entry goes to row 1
-    n = len(q_word)
-    in_bottom = [False] * (n + 1)
-    for v in bottom:
-        in_bottom[v] = True
-    open_ones: list[int] = []
-    lands_low = [False] * (n + 1)
-    for v in range(1, n + 1):
-        if in_bottom[v]:
-            lands_low[n + 1 - open_ones.pop()] = True
-        else:
-            open_ones.append(v)
-    top = [v for v in range(1, n + 1) if not lands_low[v]]
-    bottom = [v for v in range(1, n + 1) if lands_low[v]]
-
-    word = [0] * n
-    for k in range(n - 1, -1, -1):
-        if q_word[k] == 1:
-            word[k] = top.pop()
-            continue
-        y = bottom.pop()
-        i = bisect_left(top, y) - 1
-        word[k], top[i] = top[i], y
-    return Permutation(tuple(word))
+    P, Q = rsk(p)
+    if len(P.rows) > 2:
+        raise NotAvoiding321(p.word)
+    return inverse_rsk(evacuation(P), Q)
 
 
 def standard_tableaux(n: int) -> Iterator[StandardTableau]:

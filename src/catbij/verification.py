@@ -361,8 +361,20 @@ def suite_rsk_j(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     def avoidance_is_two_rows(n: int, p: Permutation) -> bool:
         return (len(tableaux.rsk(p)[0].shape) <= 2) == permutations.avoids(p, (3, 2, 1))
 
+    def standard(T: tableaux.StandardTableau) -> bool:
+        """T passes the public constructor's checks; the stream and
+        evacuation build their tableaux without them."""
+        try:
+            return tableaux.StandardTableau(T.rows) == T
+        except ValueError:
+            return False
+
     def evacuation(n: int, T: tableaux.StandardTableau) -> str | None:
         image = tableaux.evacuation(T)
+        if not standard(T):
+            return f"not a standard tableau: {T}"
+        if not standard(image):
+            return f"image not a standard tableau: {T}"
         if image.shape != T.shape:
             return f"shape changed: {T}"
         if tableaux.evacuation(image) != T:

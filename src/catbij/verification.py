@@ -3,10 +3,15 @@
 A suite is a table of laws, and each row is ``(name, bar, domain, test)``:
 ``domain(n)`` yields the objects of size n, and ``test(n, x)`` returns None
 when the law holds at ``x`` and the counterexample text when it does not.
-One driver, ``_failures``, walks n = 1..bar and each domain in its own order,
-so the first text it yields is the smallest counterexample (ascending n, lex
-within n); ``_scan`` stops it there and makes the ``Check``.  A row may carry
-a fifth field, the note a passing check prints.  Three helpers build rows:
+One driver, ``_run``, walks n = 1..bar and each domain in its own order,
+once for all the rows that share that bar and domain.  Each object goes to
+every such row that has not failed yet, so a row's first failure is its
+smallest counterexample (ascending n, lex within n), and the walk stops
+when all of them have failed.  Checks come back in row order.  What rows
+derive from one object (RSK pair, heights, descent data, phi image) sits
+behind a one-slot ``_memo`` that the suite builds when it runs.  A row
+may carry a fifth field, the note a passing check prints.  Three helpers
+build rows:
 
 - ``_holds`` turns a predicate into a test that reports ``str(x)``;
 - ``_per_n`` checks one identity per size on the domain ``(n,)`` and reports
@@ -18,6 +23,7 @@ acceptance tests assert on them directly.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -37,25 +43,29 @@ class Check:
     detail: str = ""
 
 
-def _scan(name: str, counterexamples: Iterator[str], note: str = "") -> Check:
-    """Materialize a check from a stream of counterexample descriptions."""
-    first = next(counterexamples, None)
-    if first is None:
-        return Check(name=name, passed=True, detail=note)
-    return Check(name=name, passed=False, detail=f"counterexample: {first}")
-
-
-def _failures(bar: int, domain: Callable[[int], Iterable], test: Test) -> Iterator[str]:
-    """The driver: every failure of ``test`` over n = 1..bar, in domain order."""
-    for n in range(1, bar + 1):
-        for x in domain(n):
-            failure = test(n, x)
-            if failure is not None:
-                yield failure
-
-
 def _run(rows: Iterable[tuple]) -> list[Check]:
-    return [_scan(name, _failures(bar, domain, test), *note) for name, bar, domain, test, *note in rows]
+    """The driver: rows that share a bar and a domain walk it together."""
+    rows = list(rows)
+    groups: dict[tuple, list[tuple[int, Test]]] = {}
+    for i, (_, bar, domain, test, *_) in enumerate(rows):
+        groups.setdefault((bar, domain), []).append((i, test))
+    first: dict[int, str] = {}  # row index -> its smallest counterexample
+    for (bar, domain), live in groups.items():
+        for n, x in ((n, x) for n in range(1, bar + 1) for x in domain(n)):
+            for i, test in tuple(live):
+                failure = test(n, x)
+                if failure is not None:
+                    first[i] = failure
+                    live.remove((i, test))
+            if not live:
+                break
+    return [Check(name, False, f"counterexample: {first[i]}") if i in first else Check(name, True, *note)
+            for i, (name, _, _, _, *note) in enumerate(rows)]
+
+
+# One slot is enough: the rows of a group get each object in turn.  A suite
+# applies this when it runs, so each memo goes with the suite's run.
+_memo = functools.lru_cache(maxsize=1)
 
 
 def _holds(law: Callable[[int, Any], bool]) -> Test:
@@ -92,9 +102,15 @@ def _catalan(n: int) -> int:
 
 def suite_phi(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     avoiders = _avoiders((2, 3, 1), max_n)
+    stats = _memo(permutations.perm_stats)
 
+    @_memo
     def phi(p: Permutation) -> dyck.DyckPath:
         return bijections.phi(p, check=False)
+
+    @_memo
+    def image_stats(p: Permutation) -> dyck.PathStats:
+        return dyck.path_stats(phi(p))
 
     def bijects(n: int, _) -> str | None:
         count, images = 0, set()
@@ -110,8 +126,8 @@ def suite_phi(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
         return next((f"path round-trip fails at {D}" for D in paths if phi(bijections.phi_inv(D)) != D), None)
 
     def maj_additive(n: int, p: Permutation) -> bool:
-        s = permutations.perm_stats(p)
-        return dyck.path_stats(phi(p)).maj == s.maj + s.imaj
+        s = stats(p)
+        return image_stats(p).maj == s.maj + s.imaj
 
     def valley_transport(n: int, p: Permutation) -> bool:
         d = permutations.descent_data(p)
@@ -119,8 +135,7 @@ def suite_phi(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
         return set(v.xs) == d.des and set(v.ys) == d.ides
 
     def split_transport(n: int, p: Permutation) -> bool:
-        s = permutations.perm_stats(p)
-        ps = dyck.path_stats(phi(p))
+        s, ps = stats(p), image_stats(p)
         return ps.maj1 == s.maj and ps.maj0 == s.imaj
 
     return _run([
@@ -137,9 +152,10 @@ def suite_phi(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 
 def suite_lemmas(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     avoiders = _avoiders((2, 3, 1), max_n)
+    descent_data = _memo(permutations.descent_data)
 
     def ides_from_values(n: int, p: Permutation) -> bool:
-        d = permutations.descent_data(p)
+        d = descent_data(p)
         return d.ides == {p.word[i - 1] - 1 for i in d.des}
 
     def pattern_major(_) -> Iterator[tuple]:
@@ -150,36 +166,36 @@ def suite_lemmas(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 
     def des_counts_match(_, pair: tuple) -> str | None:
         pattern, p = pair
-        d = permutations.descent_data(p)
+        d = descent_data(p)
         return None if len(d.des) == len(d.ides) else f"{p} avoiding {pattern}"
 
     def witness_123() -> str | None:
         w = Permutation((2, 4, 1, 3))
-        d = permutations.descent_data(w)
+        d = descent_data(w)
         if permutations.avoids(w, (1, 2, 3)) and d.des == {2} and d.ides == {1, 3}:
             return None
         return f"witness broke: Des={sorted(d.des)}, iDes={sorted(d.ides)}"
 
     def ascents_bound_tail(n: int, p: Permutation) -> str | None:
-        asc = permutations.descent_data(p).asc
+        asc = descent_data(p).asc
         return next((f"{p}, ascent {j}" for j in asc if any(v < p.word[j - 1] for v in p.word[j:])), None)
 
     def ascent_inequality(n: int, p: Permutation) -> str | None:
-        asc = permutations.descent_data(p).asc
+        asc = descent_data(p).asc
         run = permutations.descent_run_before
         return next((f"{p}, ascent {j}" for j in asc if j < p.word[j - 1] + run(p, j)), None)
 
     def consecutive_ascents(n: int, p: Permutation) -> str | None:
-        asc = sorted(permutations.descent_data(p).asc)
+        asc = sorted(descent_data(p).asc)
         pairs = zip(asc, asc[1:])
         return next((f"{p}, ascents {a},{b}" for a, b in pairs if a < p.word[b - 1] - 1), None)
 
     def elementwise(n: int, p: Permutation) -> bool:
-        d = permutations.descent_data(p)
+        d = descent_data(p)
         return all(i <= j for i, j in zip(sorted(d.des), sorted(d.ides)))
 
     def reconstructs(n: int, p: Permutation) -> bool:
-        d = permutations.descent_data(p)
+        d = descent_data(p)
         return permutations.reconstruct_231(n, d.des, d.ides) == p
 
     return _run([
@@ -203,7 +219,10 @@ def suite_lemmas(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 def suite_kappa(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     avoiders = _avoiders((1, 3, 2), max_n)
     heights_bar = min(n_max, 7)  # the height checks range over all of S_n
+    descent_data = _memo(permutations.descent_data)
+    heights = _memo(bijections.heights)
 
+    @_memo
     def kappa(p: Permutation) -> dyck.DyckPath:
         return bijections.kappa(p, check=False)
 
@@ -211,24 +230,24 @@ def suite_kappa(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
         return kappa(p) == bijections.kappa_factored(p, check=False)
 
     def set_x(n: int, p: Permutation) -> bool:
-        return set(dyck.valleys(kappa(p)).xs) == permutations.descent_data(p).des
+        return set(dyck.valleys(kappa(p)).xs) == descent_data(p).des
 
     def set_y(n: int, p: Permutation) -> bool:
-        return set(dyck.valleys(kappa(p)).ys) == {n - j for j in permutations.descent_data(p).ides}
+        return set(dyck.valleys(kappa(p)).ys) == {n - j for j in descent_data(p).ides}
 
     def ides_from_heights(n: int, p: Permutation) -> bool:
-        hs = bijections.heights(p)
-        d = permutations.descent_data(p)
+        hs = heights(p)
+        d = descent_data(p)
         return d.ides == {n - i - hs[i - 1] for i in d.des}
 
     def drops_at_ascents(n: int, p: Permutation) -> str | None:
-        hs = bijections.heights(p)
-        asc = permutations.descent_data(p).asc
+        hs = heights(p)
+        asc = descent_data(p).asc
         drops = (i for i in range(1, n) if (hs[i] < hs[i - 1]) != (i in asc))
         return next((f"{p}, position {i}" for i in drops), None)
 
     def height_criterion(n: int, p: Permutation) -> bool:
-        hs = bijections.heights(p)
+        hs = heights(p)
         return all(b >= a - 1 for a, b in zip(hs, hs[1:])) == permutations.avoids(p, (1, 3, 2))
 
     return _run([
@@ -271,9 +290,11 @@ def suite_inv_area(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 def suite_symmetry(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
+    @_memo
     def a(n: int) -> polynomials.MultiPoly:
         return polynomials.a_poly(n, max_n=max_n)
 
+    @_memo
     def cat(n: int) -> polynomials.MultiPoly:
         return polynomials.cat_qt(n, max_n=max_n)
 
@@ -308,9 +329,6 @@ def suite_symmetry(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 def suite_gf(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
-    if n_max + 1 > max_n:  # the order-N identity needs A_(N+1)
-        raise CeilingExceeded(max_n + 1, max_n)
-
     def residual() -> str | None:
         res = polynomials.verify_gf_identity(n_max, max_n=max_n)
         return next((f"order {k}: {poly}" for k, poly in enumerate(res) if not poly.is_zero), None)
@@ -349,17 +367,18 @@ def suite_tristat(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 
 def suite_rsk_j(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     perms_bar = min(n_max, 7)  # the RSK checks range over all of S_n
+    rsk = _memo(tableaux.rsk)
 
     def roundtrip(n: int, p: Permutation) -> bool:
-        return tableaux.inverse_rsk(*tableaux.rsk(p)) == p
+        return tableaux.inverse_rsk(*rsk(p)) == p
 
     def descent_transport(n: int, p: Permutation) -> bool:
-        P, Q = tableaux.rsk(p)
+        P, Q = rsk(p)
         d = permutations.descent_data(p)
         return tableaux.tableau_descents(Q) == d.des and tableaux.tableau_descents(P) == d.ides
 
     def avoidance_is_two_rows(n: int, p: Permutation) -> bool:
-        return (len(tableaux.rsk(p)[0].shape) <= 2) == permutations.avoids(p, (3, 2, 1))
+        return (len(rsk(p)[0].shape) <= 2) == permutations.avoids(p, (3, 2, 1))
 
     def standard(T: tableaux.StandardTableau) -> bool:
         """T passes the public constructor's checks; the stream and
@@ -480,7 +499,8 @@ def run_suite(name: str, n_max: int | None = None, max_n: int = DEFAULT_MAX_N) -
     """Run one suite (or 'all') up to ``n_max``, or to each suite's default bar.
 
     Unknown names and a bar below 1 raise ValueError; a bar above the
-    ceiling raises CeilingExceeded before any check runs.
+    ceiling raises CeilingExceeded before any check runs, for 'all' before
+    any suite runs.
 
     >>> [c.passed for c in run_suite("inv-area", 3)]
     [True, True]
@@ -489,16 +509,15 @@ def run_suite(name: str, n_max: int | None = None, max_n: int = DEFAULT_MAX_N) -
     ...
     ValueError: size bar must be at least 1, got 0
     """
+    for suite in SUITES if name == "all" else (name,):
+        if suite not in SUITES:
+            known = ", ".join([*SUITES, "all"])
+            raise ValueError(f"unknown suite {name!r}; choose from: {known}")
+        bar = SUITES[suite][1] if n_max is None else n_max
+        if bar < 1:
+            raise ValueError(f"size bar must be at least 1, got {bar}")
+        if bar + (suite == "gf-identity") > max_n:  # the order-N gf identity needs A_(N+1)
+            raise CeilingExceeded(max_n + 1, max_n)
     if name == "all":
         return [check for suite in SUITES for check in run_suite(suite, n_max=n_max, max_n=max_n)]
-    try:
-        func, default_bar = SUITES[name]
-    except KeyError:
-        known = ", ".join([*SUITES, "all"])
-        raise ValueError(f"unknown suite {name!r}; choose from: {known}") from None
-    bar = default_bar if n_max is None else n_max
-    if bar < 1:
-        raise ValueError(f"size bar must be at least 1, got {bar}")
-    if bar > max_n:
-        raise CeilingExceeded(max_n + 1, max_n)
-    return func(bar, max_n=max_n)
+    return SUITES[name][0](bar, max_n=max_n)

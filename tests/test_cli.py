@@ -1,10 +1,12 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,16 +23,19 @@ from catbij import (
     Permutation,
     a_poly,
     area,
+    avoids,
+    bijections,
     bounce,
     cat_qt,
     enumerate_avoiders,
     enumerate_dyck,
     path_stats,
     perm_stats,
+    tableaux,
     verification,
 )
 from catbij.cli import _BIJECTIONS, main
-from catbij.verification import Check, _failures, _scan, run_suite
+from catbij.verification import Check, _run, run_suite
 
 # The check lines of ``catbij verify all 4``: check names and details are fixed output.
 ALL_4_CHECKS = """\
@@ -457,25 +462,135 @@ class TestVerifyCommand:
         assert_contract("verify", suite, str(n), codes={0, 1, 2, 3, 4})
 
 
+def _failures(bar, domain, test):
+    """Every failure of ``test`` over n = 1..bar, in domain order."""
+    for n in range(1, bar + 1):
+        for x in domain(n):
+            failure = test(n, x)
+            if failure is not None:
+                yield failure
+
+
+def _scan(name, counterexamples, note=""):
+    first = next(counterexamples, None)
+    if first is None:
+        return Check(name=name, passed=True, detail=note)
+    return Check(name=name, passed=False, detail=f"counterexample: {first}")
+
+
+def row_by_row(rows):
+    """The reference driver for ``verification._run``: each row walks its
+    own domain and stops at its first failure."""
+    return [_scan(name, _failures(bar, domain, test), *note) for name, bar, domain, test, *note in rows]
+
+
+def _perm_words(max_n):
+    return [w for n in range(1, max_n + 1) for w in itertools.permutations(range(1, n + 1))]
+
+
 class TestVerificationSuites:
-    def test_scan_reports_first_counterexample(self):
-        check = _scan("demo", iter(["first", "second"]))
-        assert not check.passed
-        assert check.detail == "counterexample: first"
-        assert _scan("demo", iter([])).passed
-
-        consumed = []
-
+    @staticmethod
+    def recording_domain(consumed):
         def domain(n):
             for x in "abcd":
                 consumed.append((n, x))
                 yield x
+        return domain
 
+    def test_scan_reports_first_counterexample(self):
+        consumed = []
+        domain = self.recording_domain(consumed)
         failing = {(3, "a"), (2, "d"), (2, "b"), (4, "a")}
-        failures = _failures(4, domain, lambda n, x: f"{x}@{n}" if (n, x) in failing else None)
-        check = _scan("demo", failures)
-        assert check.detail == "counterexample: b@2"
+        [check] = _run([("demo", 4, domain, lambda n, x: f"{x}@{n}" if (n, x) in failing else None)])
+        assert check == Check("demo", False, "counterexample: b@2")
         assert consumed == [(1, "a"), (1, "b"), (1, "c"), (1, "d"), (2, "a"), (2, "b")]
+        assert _run([("demo", 1, domain, lambda n, x: None)]) == [Check("demo", True)]
+
+    def test_rows_sharing_a_domain_share_one_walk(self):
+        consumed, seen = [], []
+        domain = self.recording_domain(consumed)
+
+        def fails_at(*points):
+            def test(n, x):
+                seen.append((points, n, x))
+                return f"{x}@{n}" if (n, x) in points else None
+            return test
+
+        late, early, middle = ((3, "b"),), ((2, "b"), (1, "d")), ((2, "d"), (3, "a"))
+        rows = [(name, 4, domain, fails_at(*points)) for name, points in
+                (("late", late), ("early", early), ("middle", middle))]
+        assert [c.detail for c in _run(rows)] == [
+            "counterexample: b@3", "counterexample: d@1", "counterexample: d@2"]
+        walk = [(n, x) for n in (1, 2, 3) for x in "abcd"]
+        assert consumed == walk[:walk.index((3, "b")) + 1]
+        # a row is no longer tested once it has failed
+        assert [(n, x) for points, n, x in seen if points == early] == walk[:walk.index((1, "d")) + 1]
+        assert [(n, x) for points, n, x in seen if points == middle] == walk[:walk.index((2, "d")) + 1]
+
+        consumed.clear()
+        rows.append(("never", 4, domain, lambda n, x: None))
+        assert [c.passed for c in _run(rows)] == [False, False, False, True]
+        assert consumed == [(n, x) for n in (1, 2, 3, 4) for x in "abcd"]
+
+    def test_driver_matches_row_by_row_on_synthetic_rows(self):
+        def domain(n):
+            return iter(range(n, 0, -1))
+
+        def size(n):
+            return (n,)
+
+        rows = [
+            ("fails at 3/2", 5, domain, lambda n, x: f"{n}/{x}" if (n, x) in {(4, 1), (3, 2)} else None),
+            ("never fails", 5, domain, lambda n, x: None),
+            ("fails at 2/1", 5, domain, lambda n, x: f"{n}/{x}" if x == 1 and n > 1 else None),
+            ("noted", 5, domain, lambda n, x: None, "a note"),
+            ("fact", 1, size, lambda n, _: "broken"),
+            ("per size", 5, size, lambda n, _: f"n={n}" if n == 4 else None),
+        ]
+        checks = _run(rows)
+        assert checks == row_by_row(rows)
+        assert checks == [
+            Check("fails at 3/2", False, "counterexample: 3/2"),
+            Check("never fails", True),
+            Check("fails at 2/1", False, "counterexample: 2/1"),
+            Check("noted", True, "a note"),
+            Check("fact", False, "counterexample: broken"),
+            Check("per size", False, "counterexample: n=4"),
+        ]
+
+    def test_driver_matches_row_by_row_on_every_suite(self, monkeypatch):
+        grouped = run_suite("all", 5)
+        monkeypatch.setattr(verification, "_run", row_by_row)
+        assert grouped == run_suite("all", 5)
+
+    def test_rsk_rows_run_rsk_once_per_permutation(self, monkeypatch):
+        calls = Counter()
+        rsk = tableaux.rsk
+
+        def counting(p):
+            calls[p.word] += 1
+            return rsk(p)
+
+        monkeypatch.setattr(tableaux, "rsk", counting)
+        assert all(c.passed for c in run_suite("rsk-j", 5))
+        words = _perm_words(5)
+        # the three RSK rows share one rsk(w); j maps each 321-avoider and its image
+        assert calls == Counter(words) + Counter({w: 2 for w in words if avoids(w, 321)})
+
+    def test_kappa_factorization_runs_heights_once_per_permutation(self, monkeypatch):
+        calls = Counter()
+        heights = bijections.heights
+
+        def counting(p):
+            calls[p.word] += 1
+            return heights(p)
+
+        monkeypatch.setattr(bijections, "heights", counting)
+        assert all(c.passed for c in run_suite("kappa-factorization", 5))
+        words = _perm_words(5)
+        # the two height rows share one heights(w); on a 132-avoider, kappa
+        # and the iDes row take one each
+        assert calls == Counter(words) + Counter({w: 2 for w in words if avoids(w, 132)})
 
     @pytest.mark.parametrize(
         "suite", ["phi", "lemmas", "kappa-factorization", "inv-area", "tristat", "rsk-j"]
@@ -495,21 +610,16 @@ class TestVerificationSuites:
         assert all(c.passed for c in checks)
 
     def test_rsk_checks_over_all_permutations_stop_at_7(self, monkeypatch):
-        bars = []
-
-        def record(bar, domain, test):
-            bars.append((bar, domain))
-            return iter(())
-
-        monkeypatch.setattr(verification, "_failures", record)
-        checks = run_suite("rsk-j", 9)
-        capped = [(c.name, bar) for c, (bar, domain) in zip(checks, bars) if domain is verification._all_perms]
+        rows = []
+        monkeypatch.setattr(verification, "_run", lambda table: rows.extend(table) or [])
+        run_suite("rsk-j", 9)
+        capped = [(name, bar) for name, bar, domain, *_ in rows if domain is verification._all_perms]
         assert capped == [
             ("inverse RSK round-trips all permutations, n<=7", 7),
             ("Des(w)=Des(Q) and iDes(w)=Des(P), n<=7", 7),
             ("321-avoidance iff at most two rows, n<=7", 7),
         ]
-        assert bars[-1][0] == 9  # the j check walks 321-avoiders only
+        assert rows[-1][1] == 9  # the j check walks 321-avoiders only
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -519,13 +629,18 @@ class TestVerificationSuites:
         with pytest.raises(ValueError, match="size bar must be at least 1, got 0"):
             run_suite("kd", n_max=0)
 
-    @pytest.mark.parametrize("suite,bar", [("all", 4), ("gf-identity", 3)])
-    def test_ceiling_is_checked_before_any_check_runs(self, monkeypatch, suite, bar):
-        # gf-identity at order 3 needs A_4, one above the ceiling
+    @pytest.mark.parametrize("suite,bar,max_n", [
+        pytest.param("all", 4, 3, id="all-4"),
+        pytest.param("gf-identity", 3, 3, id="gf-identity-3"),
+        pytest.param("all", 5, 5, id="all-5"),
+    ])
+    def test_ceiling_is_checked_before_any_check_runs(self, monkeypatch, suite, bar, max_n):
+        # gf-identity at order N needs A_(N+1), one above the ceiling when
+        # N = max_n; `all` must reject it before phi..symmetry run
         def no_checks(*args):
             raise AssertionError("a check ran before the ceiling was applied")
 
-        monkeypatch.setattr(verification, "_failures", no_checks)
+        monkeypatch.setattr(verification, "_run", no_checks)
         with pytest.raises(CeilingExceeded) as info:
-            run_suite(suite, bar, max_n=3)
-        assert (info.value.n, info.value.max_n) == (4, 3)
+            run_suite(suite, bar, max_n=max_n)
+        assert (info.value.n, info.value.max_n) == (max_n + 1, max_n)

@@ -142,19 +142,22 @@ def _cmd_enumerate(args) -> int:
         print(f"unknown kind {kind!r}; use dyck or avoiders:<pattern>", file=sys.stderr)
         return EXIT_PARSE
 
+    write = sys.stdout.write
     if args.format == "lines":
+        # the bytes of f"{word}  {_stats_text(header[1:], stats)}\n"
+        line = "%s  " + " ".join(f"{k}=%d" for k in header[1:]) + "\n"
         for row in rows:
-            print(f"{row[0]}  {_stats_text(header[1:], row[1:])}")
+            write(line % row)
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
     else:
         # the bytes of json.dumps(list_of_rows), written row by row
-        write = sys.stdout.write
+        item = '{"word": %s, ' + ", ".join(f'"{k}": %d' for k in header[1:]) + "}"
         write("[")
         for i, row in enumerate(rows):
-            write((", " if i else "") + json.dumps(dict(zip(header, row))))
+            write((", " if i else "") + item % ((json.dumps(row[0]),) + row[1:]))
         write("]\n")
     return EXIT_OK
 

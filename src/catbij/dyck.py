@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import (
     NonBinaryCharacter,
@@ -25,6 +25,7 @@ from .permutations import DEFAULT_MAX_N, _check_size
 
 NORTH = 0
 EAST = 1
+_LETTERS = bytes.maketrans(b"\0\1", b"01")  # step value -> its digit
 
 
 @dataclass(frozen=True)
@@ -42,18 +43,21 @@ class DyckPath:
     def __post_init__(self):
         steps = tuple(self.steps)
         object.__setattr__(self, "steps", steps)
-        if any(s not in (0, 1) for s in steps):
+        zeros = steps.count(NORTH)
+        ones = steps.count(EAST)
+        if zeros + ones != len(steps):
             raise NonBinaryCharacter(f"steps must be 0 or 1: {steps}")
         if not steps:
             raise UnbalancedCounts("empty step word")
-        zeros = steps.count(0)
-        ones = len(steps) - zeros
         if zeros != ones:
             raise UnbalancedCounts(f"{zeros} north vs {ones} east steps")
         height = 0
         for i, s in enumerate(steps, start=1):
-            height += 1 if s == NORTH else -1
-            if height < 0:
+            if s == NORTH:
+                height += 1
+            elif height:
+                height -= 1
+            else:
                 raise PrefixViolation(f"prefix of length {i} dips below the diagonal")
 
     @property
@@ -61,7 +65,7 @@ class DyckPath:
         return len(self.steps) // 2
 
     def __str__(self) -> str:
-        return "".join(map(str, self.steps))
+        return bytes(self.steps).translate(_LETTERS).decode()
 
 
 def parse_path(text: str) -> DyckPath:
@@ -88,27 +92,23 @@ class PathStats:
     maj1: int
 
 
-def _valley_points(steps: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The (x, y) of every valley, left to right: the one valley walk."""
-    xs, ys = [], []
-    easts = 0
-    for i, s in enumerate(steps[:-1], start=1):
-        easts += s
-        if s == EAST and steps[i] == NORTH:
-            xs.append(easts)
-            ys.append(i - easts)
-    return tuple(xs), tuple(ys)
-
-
 def path_stats(D: DyckPath) -> PathStats:
     """Descent positions, their sum, and the per-letter prefix-count splits.
 
     maj0 (resp. maj1) sums, over all descents i, the number of 0's (resp.
     1's) among the first i letters: the y (resp. x) of the valley at i.
     """
-    xs, ys = _valley_points(D.steps)
-    des = frozenset(x + y for x, y in zip(xs, ys))
-    return PathStats(des=des, maj=sum(des), maj0=sum(ys), maj1=sum(xs))
+    steps = D.steps
+    des = []
+    maj1 = easts = 0
+    for i, s in enumerate(steps[:-1], start=1):
+        if s == EAST:
+            easts += 1
+            if steps[i] == NORTH:
+                des.append(i)
+                maj1 += easts
+    maj = sum(des)
+    return PathStats(des=frozenset(des), maj=maj, maj0=maj - maj1, maj1=maj1)
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,14 @@ def valleys(D: DyckPath) -> ValleySet:
     >>> v.xs, v.ys
     ((1, 2, 4, 5), (1, 3, 4, 5))
     """
-    xs, ys = _valley_points(D.steps)
+    steps = D.steps
+    xs, ys = [], []
+    easts = 0
+    for i, s in enumerate(steps[:-1], start=1):
+        easts += s
+        if s == EAST and steps[i] == NORTH:
+            xs.append(easts)
+            ys.append(i - easts)
     return ValleySet(n=D.n, xs=xs, ys=ys)
 
 

@@ -255,14 +255,14 @@ def contains(p: Permutation | Sequence[int], pattern) -> bool:
 
     A length-3 pattern is found in one pass: the word contains it iff some
     value arrives already banned by an earlier one.  The values may be any
-    distinct positive integers; sparse ones are first replaced by their
+    distinct integers; values outside 1..n are first replaced by their
     ranks.  Longer patterns use the naive scan.
     """
     word = p.word if isinstance(p, Permutation) else tuple(p)
     pat = _pattern_word(pattern)
     if len(pat) != 3:
         return contains_naive(word, pat)
-    if max(word, default=0) > len(word):
+    if word and (min(word) < 1 or max(word) > len(word)):
         rank = {x: r for r, x in enumerate(sorted(word), start=1)}
         word = [rank[x] for x in word]
     used = banned = 0

@@ -303,7 +303,7 @@ def _valley_gf(n: int, max_n: int) -> MultiPoly:
 
     A transfer DP over the state (norths i, easts j, last step was east).  A
     north step right after an east step closes a valley at x = j, y = i (the
-    convention of ``dyck._valley_points``), so it sends the key (k, X, Y) to
+    convention of ``dyck.valleys``), so it sends the key (k, X, Y) to
     (k + 1, X + j, Y + i).
     """
     _check_size(n, max_n)

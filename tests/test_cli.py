@@ -34,7 +34,15 @@ from catbij import (
     tableaux,
     verification,
 )
-from catbij.cli import _BIJECTIONS, main
+from catbij.cli import (
+    _BIJECTIONS,
+    _PATH_FIELDS,
+    _PERM_FIELDS,
+    _path_row,
+    _perm_row,
+    _stats_text,
+    main,
+)
 from catbij.verification import Check, _run, run_suite
 
 # The check lines of ``catbij verify all 4``: check names and details are fixed output.
@@ -345,6 +353,23 @@ class TestEnumerate:
             rows.append({"word": str(D), "maj": s.maj, "maj0": s.maj0, "maj1": s.maj1,
                          "area": area(D), "bounce": bounce(D)})
         assert out == json.dumps(rows) + "\n"
+
+    @pytest.mark.parametrize("kind", ["dyck", "avoiders:231", "avoiders:123", "avoiders:2413"])
+    def test_row_templates_match_formatting_oracle(self, kind):
+        # each template against rows formatted by _stats_text and json.dumps
+        for n in range(1, 7):
+            if kind == "dyck":
+                header = ("word", *_PATH_FIELDS)
+                rows = [(str(D),) + _path_row(D) for D in enumerate_dyck(n)]
+            else:
+                header = ("word", *_PERM_FIELDS)
+                rows = [(str(p),) + _perm_row(p)
+                        for p in enumerate_avoiders(n, kind.split(":")[1])]
+            lines = "".join(f"{row[0]}  {_stats_text(header[1:], row[1:])}\n" for row in rows)
+            items = ", ".join(json.dumps(dict(zip(header, row))) for row in rows)
+            assert run_captured("enumerate", kind, str(n)) == (0, lines, "")
+            assert run_captured("enumerate", kind, str(n), "--format", "json") == (
+                0, f"[{items}]\n", "")
 
     @pytest.mark.parametrize(
         "argv",

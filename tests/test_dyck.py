@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from catbij import (
     CeilingExceeded,
     DyckPath,
     NonBinaryCharacter,
+    PathStats,
     PrefixViolation,
     UnbalancedCounts,
     ValleySet,
@@ -20,6 +23,34 @@ from catbij import (
 from conftest import CATALAN, FIGURE_PAIRS
 
 RUNNING = parse_path("01 001 011 01 01")
+
+
+def validator_oracle(steps):
+    """DyckPath's step checks with a generator for the binary test and a
+    signed height sum, the oracle for its counting checks: the same classes
+    and messages, in the same order."""
+    if any(s not in (0, 1) for s in steps):
+        raise NonBinaryCharacter(f"steps must be 0 or 1: {steps}")
+    if not steps:
+        raise UnbalancedCounts("empty step word")
+    zeros = steps.count(0)
+    ones = len(steps) - zeros
+    if zeros != ones:
+        raise UnbalancedCounts(f"{zeros} north vs {ones} east steps")
+    height = 0
+    for i, s in enumerate(steps, start=1):
+        height += 1 if s == 0 else -1
+        if height < 0:
+            raise PrefixViolation(f"prefix of length {i} dips below the diagonal")
+
+
+def check_outcome(check, steps):
+    """None if check(steps) accepts, else the exception's class and message."""
+    try:
+        check(steps)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
 
 
 def area_oracle(D):
@@ -60,6 +91,20 @@ class TestParsing:
         with pytest.raises(NonBinaryCharacter):
             DyckPath((0, 2))
 
+    def test_checks_match_oracle_on_every_short_word(self):
+        words = [(), (2,), (0, 2), (0, 1, 2, 1), (1, 0, 5), (-1, 0), ("0", "1"),
+                 (0.5, 0.5), (True, False), (False, True), (0.0, 1.0)]
+        for length in range(1, 11):
+            words.extend(itertools.product((0, 1), repeat=length))
+        accepted = 0
+        for steps in words:
+            want = check_outcome(validator_oracle, steps)
+            assert check_outcome(DyckPath, steps) == want, steps
+            accepted += want is None
+        # 1 + 2 + 5 + 14 + 42 Dyck words of length 2..10, plus (False, True)
+        # and (0.0, 1.0)
+        assert accepted == 64 + 2
+
 
 class TestStats:
     def test_running_example(self):
@@ -84,6 +129,16 @@ class TestStats:
                 assert s.maj == sum(des)
                 assert s.maj0 == sum(word[:i].count("0") for i in des)
                 assert s.maj1 == sum(word[:i].count("1") for i in des)
+
+    def test_valley_oracle(self):
+        # des, maj0 and maj1 read off the (x, y) of the valleys, for n <= 10
+        for n in range(1, 11):
+            for D in enumerate_dyck(n):
+                v = valleys(D)
+                des = [x + y for x, y in zip(v.xs, v.ys)]
+                assert path_stats(D) == PathStats(
+                    des=frozenset(des), maj=sum(des), maj0=sum(v.ys), maj1=sum(v.xs)
+                )
 
     def test_split_partitions_maj(self):
         for n in range(1, 9):

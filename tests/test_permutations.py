@@ -151,10 +151,16 @@ class TestPatterns:
     def test_fast_equals_naive_random(self, p, pattern):
         assert contains(p, pattern) == contains_naive(p, pattern)
 
-    @given(st.lists(st.integers(1, 10**12), max_size=9, unique=True),
+    @given(st.lists(st.integers(-10**12, 10**12), max_size=9, unique=True),
            st.sampled_from([132, 231, 312, 213, 123, 321]))
-    def test_fast_accepts_any_distinct_positive_values(self, word, pattern):
+    def test_fast_accepts_any_distinct_values(self, word, pattern):
         assert contains(word, pattern) == contains_naive(word, pattern)
+
+    @pytest.mark.parametrize("word,found", [((2, 1, 0), True), ((1, 0, 2), False),
+                                            ((-1, -2, -3), True), ((0, 3, 2), False)])
+    def test_values_below_one_are_ranked(self, word, found):
+        assert contains(word, 321) is found
+        assert contains_naive(word, 321) is found
 
     def test_longer_patterns_use_naive_definition(self):
         assert contains(Permutation((2, 4, 1, 3)), (1, 2)) is True

@@ -15,9 +15,8 @@ Around it live:
 - ``trio_132_213`` -- the bijection S_n(132) -> S_n(213) complementing the
                     (des, maj, imaj) triple.
 
-Pattern preconditions are checked eagerly by default and raise the typed
-errors from ``catbij.errors``; pass ``check=False`` in hot enumeration loops
-where the input class is already known.
+Every map checks that its input lies in its pattern class and raises the
+typed error from ``catbij.errors`` when it does not.
 """
 from __future__ import annotations
 
@@ -33,13 +32,13 @@ from .permutations import (
 )
 
 
-def phi(p: Permutation, check: bool = True) -> DyckPath:
+def phi(p: Permutation) -> DyckPath:
     """Map a 231-avoider to the Dyck path with valleys (Des, iDes).
 
     >>> str(phi(Permutation((6, 2, 1, 5, 4, 3))))
     '010010110101'
     """
-    _require_avoids(p, NotAvoiding231, check)
+    _require_avoids(p, NotAvoiding231)
     d = descent_data(p)
     return from_valleys(
         ValleySet(n=p.n, xs=tuple(sorted(d.des)), ys=tuple(sorted(d.ides)))
@@ -56,13 +55,13 @@ def phi_inv(D: DyckPath) -> Permutation:
     return reconstruct_231(D.n, v.xs, v.ys)
 
 
-def psi_perm(p: Permutation, check: bool = True) -> Permutation:
+def psi_perm(p: Permutation) -> Permutation:
     """The involution on 231-avoiders complementing both descent sets:
     the image has Des = {1..n-1} minus iDes(p) and iDes = {1..n-1} minus Des(p).
 
     Sends (des, maj, imaj) to (n-1-des, C(n,2)-imaj, C(n,2)-maj).
     """
-    _require_avoids(p, NotAvoiding231, check)
+    _require_avoids(p, NotAvoiding231)
     d = descent_data(p)
     full = set(range(1, p.n))
     return reconstruct_231(p.n, full - d.ides, full - d.des)
@@ -79,7 +78,7 @@ def heights(p: Permutation) -> tuple[int, ...]:
     return tuple(sum(1 for j in range(i + 1, n) if w[j] > w[i]) for i in range(n))
 
 
-def kappa(p: Permutation, check: bool = True) -> DyckPath:
+def kappa(p: Permutation) -> DyckPath:
     """Height-profile bijection from 132-avoiders to Dyck paths.
 
     Reading the word left to right, adjoin the north steps needed to reach
@@ -88,41 +87,40 @@ def kappa(p: Permutation, check: bool = True) -> DyckPath:
     what makes the construction valid; violations raise NotAvoiding132.
     """
     hs = heights(p)
-    if check and any(b < a - 1 for a, b in zip(hs, hs[1:])):
+    if any(b < a - 1 for a, b in zip(hs, hs[1:])):
         raise NotAvoiding132(p.word)
     steps: list[int] = []
     height = 0
     for h in hs:
         climb = h + 1 - height
-        assert climb >= 0, "unchecked non-132-avoider"
         steps.extend([0] * climb)
         steps.append(1)
         height = h
     return DyckPath(tuple(steps))
 
 
-def kappa_factored(p: Permutation, check: bool = True) -> DyckPath:
+def kappa_factored(p: Permutation) -> DyckPath:
     """``kappa`` computed through the factorization
     reflect o valley_complement o phi o reverse; agrees with ``kappa``
     on every 132-avoider.
     """
-    _require_avoids(p, NotAvoiding132, check)
-    return reflect(valley_complement(phi(reverse(p), check=False)))
+    _require_avoids(p, NotAvoiding132)
+    return reflect(valley_complement(phi(reverse(p))))
 
 
-def beta(p: Permutation, check: bool = True) -> DyckPath:
+def beta(p: Permutation) -> DyckPath:
     """valley_complement o phi o inverse, defined on 312-avoiders (whose
     inverses avoid 231).  Carries the inversion number to the area statistic:
     area(beta(p)) = inv(p).
     """
-    _require_avoids(p, NotAvoiding312, check)
-    return valley_complement(phi(inverse(p), check=False))
+    _require_avoids(p, NotAvoiding312)
+    return valley_complement(phi(inverse(p)))
 
 
-def trio_132_213(p: Permutation, check: bool = True) -> Permutation:
+def trio_132_213(p: Permutation) -> Permutation:
     """Bijection S_n(132) -> S_n(213) given by reverse, then psi_perm, then
     inverse, then reverse; sends (des, maj, imaj) to
     (n-1-des, C(n,2)-maj, C(n,2)-imaj).
     """
-    _require_avoids(p, NotAvoiding132, check)
-    return reverse(inverse(psi_perm(reverse(p), check=False)))
+    _require_avoids(p, NotAvoiding132)
+    return reverse(inverse(psi_perm(reverse(p))))

@@ -42,17 +42,23 @@ class DyckPath:
 
     def __post_init__(self):
         steps = tuple(self.steps)
-        object.__setattr__(self, "steps", steps)
-        zeros = steps.count(NORTH)
-        ones = steps.count(EAST)
-        if zeros + ones != len(steps):
+        try:
+            # stores bools and other int-likes as plain ints; floats,
+            # strings and ints outside 0..255 raise here
+            word = bytes(steps)
+        except (TypeError, ValueError):
+            raise NonBinaryCharacter(f"steps must be 0 or 1: {steps}") from None
+        object.__setattr__(self, "steps", tuple(word))
+        zeros = word.count(NORTH)
+        ones = word.count(EAST)
+        if zeros + ones != len(word):
             raise NonBinaryCharacter(f"steps must be 0 or 1: {steps}")
-        if not steps:
+        if not word:
             raise UnbalancedCounts("empty step word")
         if zeros != ones:
             raise UnbalancedCounts(f"{zeros} north vs {ones} east steps")
         height = 0
-        for i, s in enumerate(steps, start=1):
+        for i, s in enumerate(word, start=1):
             if s == NORTH:
                 height += 1
             elif height:

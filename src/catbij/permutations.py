@@ -285,9 +285,9 @@ def avoids(p: Permutation | Sequence[int], pattern) -> bool:
     return not contains(p, pattern)
 
 
-def _require_avoids(p: Permutation, violation: type, check: bool) -> None:
-    """Raise violation(p.word) if check is set and p contains violation.pattern."""
-    if check and not avoids(p, violation.pattern):
+def _require_avoids(p: Permutation, violation: type) -> None:
+    """Raise violation(p.word) if p contains violation.pattern."""
+    if not avoids(p, violation.pattern):
         raise violation(p.word)
 
 

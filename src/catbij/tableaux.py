@@ -172,22 +172,18 @@ def evacuation(T: StandardTableau) -> StandardTableau:
     return StandardTableau._of(out)
 
 
-def j_involution(p: Permutation, check: bool = True) -> Permutation:
+def j_involution(p: Permutation) -> Permutation:
     """The involution on 321-avoiders obtained by evacuating the insertion
     tableau: w -> (P, Q) -> (evacuation(P), Q) -> image.
 
     Keeps Des fixed and maps iDes to {n - j : j in iDes}; the image avoids
-    321 because evacuation preserves the (at most two-row) shape.  A third
-    row in P means w contains 321, so such a w raises NotAvoiding321 even
-    with ``check=False``.
+    321 because evacuation preserves the (at most two-row) shape.
 
     >>> j_involution(Permutation((2, 3, 1))).word
     (1, 3, 2)
     """
-    _require_avoids(p, NotAvoiding321, check)
+    _require_avoids(p, NotAvoiding321)
     P, Q = rsk(p)
-    if len(P.rows) > 2:
-        raise NotAvoiding321(p.word)
     return inverse_rsk(evacuation(P), Q)
 
 

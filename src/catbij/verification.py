@@ -104,9 +104,7 @@ def suite_phi(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     avoiders = _avoiders((2, 3, 1), max_n)
     stats = _memo(permutations.perm_stats)
 
-    @_memo
-    def phi(p: Permutation) -> dyck.DyckPath:
-        return bijections.phi(p, check=False)
+    phi = _memo(bijections.phi)
 
     @_memo
     def image_stats(p: Permutation) -> dyck.PathStats:
@@ -222,12 +220,10 @@ def suite_kappa(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     descent_data = _memo(permutations.descent_data)
     heights = _memo(bijections.heights)
 
-    @_memo
-    def kappa(p: Permutation) -> dyck.DyckPath:
-        return bijections.kappa(p, check=False)
+    kappa = _memo(bijections.kappa)
 
     def factorization(n: int, p: Permutation) -> bool:
-        return kappa(p) == bijections.kappa_factored(p, check=False)
+        return kappa(p) == bijections.kappa_factored(p)
 
     def set_x(n: int, p: Permutation) -> bool:
         return set(dyck.valleys(kappa(p)).xs) == descent_data(p).des
@@ -271,11 +267,11 @@ def suite_kappa(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 
 def suite_inv_area(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     def bridge(n: int, p: Permutation) -> bool:
-        image = dyck.valley_complement(bijections.phi(p, check=False))
+        image = dyck.valley_complement(bijections.phi(p))
         return dyck.area(image) == permutations.perm_stats(p).inv
 
     def beta_carries_inv(n: int, p: Permutation) -> bool:
-        return dyck.area(bijections.beta(p, check=False)) == permutations.perm_stats(p).inv
+        return dyck.area(bijections.beta(p)) == permutations.perm_stats(p).inv
 
     return _run([
         (f"inv(w) = area(complement(phi(w))) on 231-avoiders, n<={n_max}", n_max,
@@ -403,10 +399,10 @@ def suite_rsk_j(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
         return None
 
     def j_props(n: int, p: Permutation) -> str | None:
-        image = tableaux.j_involution(p, check=False)
+        image = tableaux.j_involution(p)
         if not permutations.avoids(image, (3, 2, 1)):
             return f"image leaves the class: {p}"
-        if tableaux.j_involution(image, check=False) != p:
+        if tableaux.j_involution(image) != p:
             return f"not an involution: {p}"
         d, di = permutations.descent_data(p), permutations.descent_data(image)
         if di.des != d.des or di.ides != {n - j for j in d.ides}:

@@ -70,14 +70,14 @@ def test_criterion_02_bijectivity():
             images = set()
             count = 0
             for p in enumerate_avoiders(n, 231):
-                D = phi(p, check=False)
+                D = phi(p)
                 count += 1
                 images.add(D)
                 assert phi_inv(D) == p
             assert count == CATALAN[n]
             assert len(images) == CATALAN[n]
             for D in enumerate_dyck(n):
-                assert phi(phi_inv(D), check=False) == D
+                assert phi(phi_inv(D)) == D
 
 
 def test_criterion_03_statistic_transport():
@@ -85,7 +85,7 @@ def test_criterion_03_statistic_transport():
         for n in range(1, 10):
             for p in enumerate_avoiders(n, 231):
                 s = perm_stats(p)
-                ps = path_stats(phi(p, check=False))
+                ps = path_stats(phi(p))
                 assert ps.maj == s.maj + s.imaj
                 assert ps.maj1 == s.maj
                 assert ps.maj0 == s.imaj
@@ -164,7 +164,7 @@ def test_criterion_10_inv_area_bridge():
     with budget(10, "inv(w) = area(complement(phi(w))), n<=8", 10):
         for n in range(1, 9):
             for p in enumerate_avoiders(n, 231):
-                got = area(valley_complement(phi(p, check=False)))
+                got = area(valley_complement(phi(p)))
                 assert got == perm_stats(p).inv
 
 

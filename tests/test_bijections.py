@@ -4,6 +4,7 @@ from catbij import (
     NotAvoiding132,
     NotAvoiding231,
     NotAvoiding312,
+    NotAvoiding321,
     Permutation,
     area,
     avoids,
@@ -14,6 +15,7 @@ from catbij import (
     heights,
     identity,
     inverse,
+    j_involution,
     kappa,
     kappa_factored,
     parse_path,
@@ -53,25 +55,25 @@ class TestPhi:
         for n in range(1, 8):
             for p in enumerate_avoiders(n, 231):
                 d = descent_data(p)
-                v = valleys(phi(p, check=False))
+                v = valleys(phi(p))
                 assert set(v.xs) == d.des and set(v.ys) == d.ides
 
     def test_bijection_counts_and_roundtrips(self):
         for n in range(1, 8):
             images = set()
             for p in enumerate_avoiders(n, 231):
-                D = phi(p, check=False)
+                D = phi(p)
                 images.add(D)
                 assert phi_inv(D) == p
             assert len(images) == CATALAN[n]
             for D in enumerate_dyck(n):
-                assert phi(phi_inv(D), check=False) == D
+                assert phi(phi_inv(D)) == D
 
     def test_maj_split_transport(self):
         for n in range(1, 8):
             for p in enumerate_avoiders(n, 231):
                 s = perm_stats(p)
-                ps = path_stats(phi(p, check=False))
+                ps = path_stats(phi(p))
                 assert (ps.maj1, ps.maj0) == (s.maj, s.imaj)
 
 
@@ -96,8 +98,8 @@ class TestPsiPerm:
         for n in range(1, 7):
             c = n * (n - 1) // 2
             for p in enumerate_avoiders(n, 231):
-                image = psi_perm(p, check=False)
-                assert psi_perm(image, check=False) == p
+                image = psi_perm(p)
+                assert psi_perm(image) == p
                 s, si = perm_stats(p), perm_stats(image)
                 assert si.des == n - 1 - s.des
                 assert s.maj == c - si.imaj
@@ -106,8 +108,8 @@ class TestPsiPerm:
     def test_matches_path_level_complement(self):
         for n in range(1, 7):
             for p in enumerate_avoiders(n, 231):
-                assert phi(psi_perm(p, check=False), check=False) == valley_complement(
-                    phi(p, check=False)
+                assert phi(psi_perm(p)) == valley_complement(
+                    phi(p)
                 )
 
     def test_rejects_non_avoider(self):
@@ -161,14 +163,14 @@ class TestKappa:
     def test_factorization_exhaustive(self):
         for n in range(1, 8):
             for p in enumerate_avoiders(n, 132):
-                assert kappa(p, check=False) == kappa_factored(p, check=False)
+                assert kappa(p) == kappa_factored(p)
 
     def test_valley_characterization(self):
         for n in range(1, 7):
             for p in enumerate_avoiders(n, 132):
                 d = descent_data(p)
                 hs = heights(p)
-                v = valleys(kappa(p, check=False))
+                v = valleys(kappa(p))
                 assert set(v.xs) == d.des
                 assert set(v.ys) == {i + hs[i - 1] for i in d.des}
                 assert set(v.ys) == {n - j for j in d.ides}
@@ -194,9 +196,9 @@ class TestBeta:
     def test_inv_equals_area_exhaustive(self):
         for n in range(1, 7):
             for p in enumerate_avoiders(n, 231):
-                assert perm_stats(p).inv == area(valley_complement(phi(p, check=False)))
+                assert perm_stats(p).inv == area(valley_complement(phi(p)))
             for p in enumerate_avoiders(n, 312):
-                assert area(beta(p, check=False)) == perm_stats(p).inv
+                assert area(beta(p)) == perm_stats(p).inv
 
 
 class TestTrio:
@@ -212,10 +214,39 @@ class TestTrio:
             c = n * (n - 1) // 2
             images = set()
             for p in enumerate_avoiders(n, 132):
-                image = trio_132_213(p, check=False)
+                image = trio_132_213(p)
                 images.add(image)
                 s, si = perm_stats(p), perm_stats(image)
                 assert si.des == n - 1 - s.des
                 assert si.maj == c - s.maj
                 assert si.imaj == c - s.imaj
             assert images == set(enumerate_avoiders(n, 213))
+
+
+PRECONDITIONS = [
+    (phi, NotAvoiding231),
+    (psi_perm, NotAvoiding231),
+    (kappa, NotAvoiding132),
+    (kappa_factored, NotAvoiding132),
+    (trio_132_213, NotAvoiding132),
+    (beta, NotAvoiding312),
+    (j_involution, NotAvoiding321),
+]
+
+
+class TestPreconditions:
+    @pytest.mark.parametrize(
+        "bijection, violation", PRECONDITIONS, ids=[f.__name__ for f, _ in PRECONDITIONS]
+    )
+    def test_sweep(self, bijection, violation):
+        # a non-member raises exactly its typed error, never a bare
+        # ValueError from a half-built object or an AssertionError
+        for n in range(1, 7):
+            for p in all_perms(n):
+                if avoids(p, violation.pattern):
+                    bijection(p)
+                    continue
+                with pytest.raises(violation) as caught:
+                    bijection(p)
+                assert type(caught.value) is violation
+                assert str(caught.value) == str(violation(p.word))

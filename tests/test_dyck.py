@@ -28,8 +28,9 @@ RUNNING = parse_path("01 001 011 01 01")
 def validator_oracle(steps):
     """DyckPath's step checks with a generator for the binary test and a
     signed height sum, the oracle for its counting checks: the same classes
-    and messages, in the same order."""
-    if any(s not in (0, 1) for s in steps):
+    and messages, in the same order.  Only ints (bools among them) count as
+    steps; a float 0.0 or 1.0 is not one."""
+    if any(not isinstance(s, int) or s not in (0, 1) for s in steps):
         raise NonBinaryCharacter(f"steps must be 0 or 1: {steps}")
     if not steps:
         raise UnbalancedCounts("empty step word")
@@ -100,10 +101,13 @@ class TestParsing:
         for steps in words:
             want = check_outcome(validator_oracle, steps)
             assert check_outcome(DyckPath, steps) == want, steps
-            accepted += want is None
-        # 1 + 2 + 5 + 14 + 42 Dyck words of length 2..10, plus (False, True)
-        # and (0.0, 1.0)
-        assert accepted == 64 + 2
+            if want is None:
+                accepted += 1
+                assert all(type(s) is int for s in DyckPath(steps).steps), steps
+        # 1 + 2 + 5 + 14 + 42 Dyck words of length 2..10, plus (False, True),
+        # stored as (0, 1)
+        assert accepted == 64 + 1
+        assert DyckPath((False, True)).steps == (0, 1)
 
 
 class TestStats:

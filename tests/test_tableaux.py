@@ -220,20 +220,12 @@ class TestJInvolution:
         with pytest.raises(NotAvoiding321):
             j_involution(Permutation((3, 2, 1)))
 
-    def test_rejects_non_avoider_without_check(self):
-        # P has a third row exactly when p contains 321
-        for n in range(3, 7):
-            for p in all_perms(n):
-                if not avoids(p, (3, 2, 1)):
-                    with pytest.raises(NotAvoiding321):
-                        j_involution(p, check=False)
-
     def test_involution_and_descents(self):
         for n in range(1, 7):
             for p in enumerate_avoiders(n, 321):
-                image = j_involution(p, check=False)
+                image = j_involution(p)
                 assert avoids(image, (3, 2, 1))
-                assert j_involution(image, check=False) == p
+                assert j_involution(image) == p
                 d, di = descent_data(p), descent_data(image)
                 assert di.des == d.des
                 assert di.ides == {n - j for j in d.ides}

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import io
+import itertools
 import os
 import sys
+from typing import Iterator
 
 from . import bijections, dyck, permutations, polynomials, tableaux, verification
 from .errors import CeilingExceeded, PatternViolation
@@ -29,6 +31,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_PATTERN = 3
 EXIT_CEILING = 4
+
+#: rows per write of ``enumerate``; a write per row costs a system call
+#: per row when stdout is unbuffered
+_BLOCK_ROWS = 1024
 
 # name -> (input kind, function); "perm"/"path" say how to parse the input
 _BIJECTIONS = {
@@ -146,20 +152,34 @@ def _cmd_enumerate(args) -> int:
     if args.format == "lines":
         # the bytes of f"{word}  {_stats_text(header[1:], stats)}\n"
         line = "%s  " + " ".join(f"{k}=%d" for k in header[1:]) + "\n"
-        for row in rows:
-            write(line % row)
+        _write_blocks(map(line.__mod__, rows))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        blocks = iter(lambda: list(itertools.islice(rows, _BLOCK_ROWS)), [])
+        for block in itertools.chain([[header]], blocks):
+            writer.writerows(block)
+            write(buffer.getvalue())
+            buffer.seek(0)
+            buffer.truncate()
     else:
-        # the bytes of json.dumps(list_of_rows), written row by row
-        item = '{"word": %s, ' + ", ".join(f'"{k}": %d' for k in header[1:]) + "}"
+        # the bytes of json.dumps(list_of_rows); a word is digits, brackets
+        # and commas, which json.dumps quotes without escapes
+        item = '{"word": "%s", ' + ", ".join(f'"{k}": %d' for k in header[1:]) + "}"
         write("[")
-        for i, row in enumerate(rows):
-            write((", " if i else "") + item % ((json.dumps(row[0]),) + row[1:]))
+        _write_blocks(map(item.__mod__, rows), ", ")
         write("]\n")
     return EXIT_OK
+
+
+def _write_blocks(texts: Iterator[str], sep: str = "") -> None:
+    """Write the nonempty texts to stdout joined by sep, _BLOCK_ROWS of them
+    per write."""
+    write = sys.stdout.write
+    lead = ""
+    while block := sep.join(itertools.islice(texts, _BLOCK_ROWS)):
+        write(lead + block)
+        lead = sep
 
 
 def build_parser() -> argparse.ArgumentParser:

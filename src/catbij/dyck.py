@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     NonBinaryCharacter,
@@ -90,8 +90,7 @@ def parse_path(text: str) -> DyckPath:
     return DyckPath(tuple(cleaned))
 
 
-@dataclass(frozen=True)
-class PathStats:
+class PathStats(NamedTuple):
     des: frozenset[int]
     maj: int
     maj0: int
@@ -114,7 +113,7 @@ def path_stats(D: DyckPath) -> PathStats:
                 des.append(i)
                 maj1 += easts
     maj = sum(des)
-    return PathStats(des=frozenset(des), maj=maj, maj0=maj - maj1, maj1=maj1)
+    return PathStats(frozenset(des), maj, maj - maj1, maj1)
 
 
 @dataclass(frozen=True)

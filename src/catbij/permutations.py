@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CeilingExceeded
 
@@ -99,8 +99,7 @@ def parse_permutation(text: str) -> Permutation:
     return Permutation(word)
 
 
-@dataclass(frozen=True)
-class DescentData:
+class DescentData(NamedTuple):
     """The four descent/ascent sets of a permutation.
 
     ``asc`` and ``iasc`` always contain ``n`` (see module docstring).
@@ -112,8 +111,7 @@ class DescentData:
     iasc: frozenset[int]
 
 
-@dataclass(frozen=True)
-class PermStats:
+class PermStats(NamedTuple):
     des: int
     asc: int
     maj: int
@@ -307,7 +305,8 @@ def enumerate_avoiders(
     For a length-3 pattern ``banned[k]`` is the union of the bans of the
     first k values.  Bans only grow, so a prefix that bans a still-free value
     has no avoiding completion: pruning it is exact, and it keeps every free
-    value unbanned, so each candidate costs one mask test.  Other patterns
+    value unbanned, so each candidate costs one mask test and the last free
+    value is yielded at depth n - 1 without a test.  Other patterns
     test v only against the copies it would end, as the prefix avoids: the
     shorter subsequences of the prefix followed by v.  A bad pattern is
     reported before a bad size.
@@ -317,6 +316,7 @@ def enumerate_avoiders(
     masked = len(pat) == 3
     places = range(len(pat))
     rank = tuple(sorted(places, key=pat.__getitem__))
+    leaf = n - 1 if masked else n  # the depth at which the walk yields
 
     def walk() -> Iterator[Permutation]:
         prefix: list[int] = []
@@ -325,9 +325,12 @@ def enumerate_avoiders(
         tried = [0] * (n + 1)
         while True:
             k = len(prefix)
-            if k == n:
-                yield Permutation(tuple(prefix))
-            rest = free & -(2 << tried[k])
+            if k < leaf:
+                rest = free & -(2 << tried[k])
+            else:
+                # a masked walk appends the one free value, unbanned
+                yield Permutation((*prefix, free.bit_length() - 1) if masked else tuple(prefix))
+                rest = 0
             while rest:
                 bit = rest & -rest
                 rest ^= bit
@@ -366,10 +369,12 @@ def descent_run_before(p: Permutation, j: int) -> int:
     >>> descent_run_before(Permutation((6, 2, 1, 5, 4, 3)), 3)
     2
     """
-    d = descent_data(p)
-    if j not in d.asc:
+    w = p.word
+    if not (0 < j < len(w) and w[j - 1] < w[j] or j == len(w)):
         raise ValueError(f"position {j} is not an ascent of {p}")
-    prev = max((a for a in d.asc if a < j), default=0)
+    prev = j - 1
+    while prev and w[prev - 1] > w[prev]:
+        prev -= 1
     return j - 1 - prev
 
 

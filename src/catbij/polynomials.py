@@ -37,7 +37,7 @@ from functools import partial
 from itertools import product
 from math import comb
 from operator import itemgetter
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import json
 
@@ -551,8 +551,7 @@ def verify_gf_identity(
 # shift-assignment search (bistatistic onto cat_qt)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KdResult:
+class KdResult(NamedTuple):
     """Outcome of ``kd_search``: each assignment maps every Dyck path of
     semilength n to a nonnegative shift k so that the multiset of
     (maj1 - k, C(n,2) - maj0 - k) pairs equals the monomials of cat_qt(n).

@@ -34,6 +34,7 @@ from catbij import (
     tableaux,
     verification,
 )
+from catbij import cli
 from catbij.cli import (
     _BIJECTIONS,
     _PATH_FIELDS,
@@ -94,6 +95,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that counts the calls to its write."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
 
 
 def run_captured(*argv):
@@ -355,8 +366,9 @@ class TestEnumerate:
         assert out == json.dumps(rows) + "\n"
 
     @pytest.mark.parametrize("kind", ["dyck", "avoiders:231", "avoiders:123", "avoiders:2413"])
-    def test_row_templates_match_formatting_oracle(self, kind):
-        # each template against rows formatted by _stats_text and json.dumps
+    def test_row_templates_match_formatting_oracle(self, monkeypatch, kind):
+        # each format, written in blocks of 1, 2, 3 and the default rows,
+        # against its rows formatted and written one at a time
         for n in range(1, 7):
             if kind == "dyck":
                 header = ("word", *_PATH_FIELDS)
@@ -365,11 +377,23 @@ class TestEnumerate:
                 header = ("word", *_PERM_FIELDS)
                 rows = [(str(p),) + _perm_row(p)
                         for p in enumerate_avoiders(n, kind.split(":")[1])]
-            lines = "".join(f"{row[0]}  {_stats_text(header[1:], row[1:])}\n" for row in rows)
-            items = ", ".join(json.dumps(dict(zip(header, row))) for row in rows)
-            assert run_captured("enumerate", kind, str(n)) == (0, lines, "")
-            assert run_captured("enumerate", kind, str(n), "--format", "json") == (
-                0, f"[{items}]\n", "")
+            table = io.StringIO()
+            writer = csv.writer(table, lineterminator="\n")
+            for row in (header, *rows):
+                writer.writerow(row)
+            oracle = {
+                "lines": "".join(f"{row[0]}  {_stats_text(header[1:], row[1:])}\n" for row in rows),
+                "json": json.dumps([dict(zip(header, row)) for row in rows]) + "\n",
+                "csv": table.getvalue(),
+            }
+            for block in (1, 2, 3, cli._BLOCK_ROWS):
+                monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+                for fmt, want in oracle.items():
+                    stdout = CountingStdout()
+                    with contextlib.redirect_stdout(stdout):
+                        assert main(["enumerate", kind, str(n), "--format", fmt]) == 0
+                    assert stdout.getvalue() == want
+                    assert stdout.writes <= -(-len(rows) // block) + 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -601,6 +625,15 @@ class TestVerificationSuites:
         words = _perm_words(5)
         # the three RSK rows share one rsk(w); j maps each 321-avoider and its image
         assert calls == Counter(words) + Counter({w: 2 for w in words if avoids(w, 321)})
+
+    def test_j_image_leaving_the_class_is_reported(self, monkeypatch):
+        # a j that sends [1,2,3] to [3,2,1]; the real j rejects the image
+        j = tableaux.j_involution
+        leaving = {(1, 2, 3): Permutation((3, 2, 1))}
+        monkeypatch.setattr(tableaux, "j_involution", lambda p: leaving.get(p.word) or j(p))
+        *_, check = run_suite("rsk-j", 4)
+        assert check == Check("j: involution on 321-avoiders fixing Des, reversing iDes, n<=4",
+                              False, "counterexample: image leaves the class: [1,2,3]")
 
     def test_kappa_factorization_runs_heights_once_per_permutation(self, monkeypatch):
         calls = Counter()

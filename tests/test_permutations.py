@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 
 from catbij import (
     CeilingExceeded,
+    DescentData,
+    KdResult,
+    PathStats,
+    PermStats,
     Permutation,
     avoider_poly,
     avoids,
@@ -24,6 +28,7 @@ from catbij import (
     tristat_gf,
 )
 from catbij.permutations import _pattern_word
+from catbij.verification import Check
 from conftest import CATALAN, FIGURE_PAIRS, all_perms, permutations_st
 
 SIGMA = Permutation((6, 2, 1, 5, 4, 3))
@@ -251,6 +256,15 @@ class TestEnumeration:
             want = sorted(w for w in extended if not contains_naive(w, pattern))
             assert [p.word for p in enumerate_avoiders(n, pattern)] == want
 
+    @pytest.mark.parametrize("pattern", [123, 132, 213, 231, 312, 321])
+    def test_length_3_pattern_builds_one_permutation_per_avoider(self, monkeypatch, pattern):
+        # plus one for the pattern's parse; the last value is never a candidate
+        built = []
+        post_init = Permutation.__post_init__
+        monkeypatch.setattr(Permutation, "__post_init__", lambda p: built.append(post_init(p)))
+        assert sum(1 for _ in enumerate_avoiders(7, pattern)) == CATALAN[7]
+        assert len(built) == CATALAN[7] + 1
+
     def test_longer_pattern_builds_one_permutation_per_avoider(self, monkeypatch):
         # plus one for the pattern's parse; the candidate tests build none
         built = []
@@ -284,6 +298,59 @@ class TestDescentRunBefore:
     def test_error_on_descent_position(self):
         with pytest.raises(ValueError):
             descent_run_before(SIGMA, 1)
+
+    def test_matches_descent_data_oracle(self):
+        # j - 1 minus the previous ascent, read off the four descent sets
+        for n in range(1, 8):
+            for p in all_perms(n):
+                asc = descent_data(p).asc
+                for j in range(-1, n + 3):
+                    if j in asc:
+                        prev = max((a for a in asc if a < j), default=0)
+                        assert descent_run_before(p, j) == j - 1 - prev
+                    else:
+                        with pytest.raises(ValueError) as err:
+                            descent_run_before(p, j)
+                        assert str(err.value) == f"position {j} is not an ascent of {p}"
+
+
+class TestRecords:
+    """The plain records are named tuples: fixed fields, dataclass-style
+    repr, value equality and hashing, and no assignment."""
+
+    RECORDS = [
+        (PermStats(1, 2, 3, 4, 5), dict(des=1, asc=2, maj=3, imaj=4, inv=5),
+         "PermStats(des=1, asc=2, maj=3, imaj=4, inv=5)"),
+        (DescentData(frozenset({1}), frozenset({2}), frozenset(), frozenset({2})),
+         dict(des=frozenset({1}), asc=frozenset({2}), ides=frozenset(), iasc=frozenset({2})),
+         "DescentData(des=frozenset({1}), asc=frozenset({2}), ides=frozenset(), iasc=frozenset({2}))"),
+        (PathStats(frozenset({2}), 2, 1, 1), dict(des=frozenset({2}), maj=2, maj0=1, maj1=1),
+         "PathStats(des=frozenset({2}), maj=2, maj0=1, maj1=1)"),
+        (KdResult(3, (), True), dict(n=3, assignments=(), exhaustive=True),
+         "KdResult(n=3, assignments=(), exhaustive=True)"),
+        (Check("c", False, "counterexample: x"), dict(name="c", passed=False, detail="counterexample: x"),
+         "Check(name='c', passed=False, detail='counterexample: x')"),
+    ]
+
+    @pytest.mark.parametrize("record,fields,text", RECORDS, ids=[type(r).__name__ for r, *_ in RECORDS])
+    def test_contract(self, record, fields, text):
+        assert record._fields == tuple(fields)
+        assert repr(record) == text
+        twin = type(record)(**fields)
+        assert twin == record and hash(twin) == hash(record)
+        assert record == tuple(fields.values())
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+    def test_check_defaults(self):
+        assert Check._field_defaults == {"detail": ""}
+        assert Check("c", True) == Check(name="c", passed=True, detail="")
+
+    def test_library_values(self):
+        assert perm_stats(SIGMA) == PermStats(des=4, asc=2, maj=12, imaj=13, inv=9)
+        des, asc, ides, iasc = descent_data(SIGMA)
+        assert (des, asc, ides, iasc) == ({1, 2, 4, 5}, {3, 6}, {1, 3, 4, 5}, {2, 6})
 
 
 class TestReconstruct:

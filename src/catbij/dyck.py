@@ -13,7 +13,6 @@ determine the path (``valleys`` / ``from_valleys`` below).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -21,15 +20,14 @@ from .errors import (
     PrefixViolation,
     UnbalancedCounts,
 )
-from .permutations import DEFAULT_MAX_N, _check_size
+from .permutations import DEFAULT_MAX_N, _check_size, _Frozen
 
 NORTH = 0
 EAST = 1
 _LETTERS = bytes.maketrans(b"\0\1", b"01")  # step value -> its digit
 
 
-@dataclass(frozen=True)
-class DyckPath:
+class DyckPath(_Frozen):
     """An immutable Dyck path; ``steps`` holds 0 = north, 1 = east.
 
     >>> DyckPath((0, 1, 0, 1)).n
@@ -38,7 +36,11 @@ class DyckPath:
     '0011'
     """
 
-    steps: tuple[int, ...]
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[int, ...]):
+        object.__setattr__(self, "steps", steps)
+        self.__post_init__()
 
     def __post_init__(self):
         steps = tuple(self.steps)
@@ -65,6 +67,14 @@ class DyckPath:
                 height -= 1
             else:
                 raise PrefixViolation(f"prefix of length {i} dips below the diagonal")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.steps == other.steps
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.steps,))
 
     @property
     def n(self) -> int:
@@ -116,8 +126,7 @@ def path_stats(D: DyckPath) -> PathStats:
     return PathStats(frozenset(des), maj, maj - maj1, maj1)
 
 
-@dataclass(frozen=True)
-class ValleySet:
+class ValleySet(_Frozen):
     """The x- and y-coordinates of a path's valleys, strictly increasing.
 
     The invariants (equal lengths, entries in 1..n-1, elementwise
@@ -125,9 +134,13 @@ class ValleySet:
     semilength n, so ``from_valleys`` is total on valid instances.
     """
 
-    n: int
-    xs: tuple[int, ...]
-    ys: tuple[int, ...]
+    __slots__ = ("n", "xs", "ys")
+
+    def __init__(self, n: int, xs: tuple[int, ...], ys: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "xs", tuple(self.xs))
@@ -146,6 +159,14 @@ class ValleySet:
                 f"need xs[l] <= ys[l] elementwise (path above diagonal): "
                 f"{self.xs} vs {self.ys}"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.xs, self.ys) == (other.n, other.xs, other.ys)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.xs, self.ys))
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "xs": list(self.xs), "ys": list(self.ys)})

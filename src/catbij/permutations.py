@@ -20,7 +20,6 @@ length and remains the oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CeilingExceeded
@@ -45,8 +44,34 @@ def _check_size(n: int, max_n: int | None = None) -> None:
         raise CeilingExceeded(n, max_n)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class _Frozen:
+    """The cold methods of the slotted value types.
+
+    A subclass names its fields, in order, in ``__slots__``; its
+    ``__init__`` sets each one with ``object.__setattr__`` and then calls
+    ``self.__post_init__()``, and it writes out its own ``__eq__`` (same
+    class only) and ``__hash__`` (the hash of the field tuple).  This base
+    refuses assignment and deletion, prints ``Type(field=value, ...)`` and
+    copies and pickles through the public constructor.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Permutation(_Frozen):
     """An immutable permutation of {1..n} in one-line notation.
 
     >>> Permutation((2, 1, 3)).n
@@ -55,7 +80,11 @@ class Permutation:
     '[6,2,1,5,4,3]'
     """
 
-    word: tuple[int, ...]
+    __slots__ = ("word",)
+
+    def __init__(self, word: tuple[int, ...]):
+        object.__setattr__(self, "word", word)
+        self.__post_init__()
 
     def __post_init__(self):
         word = tuple(self.word)
@@ -65,6 +94,14 @@ class Permutation:
             raise ValueError("permutation must have length at least 1")
         if sorted(word) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {list(word)}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.word == other.word
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.word,))
 
     @property
     def n(self) -> int:

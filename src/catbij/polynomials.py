@@ -32,7 +32,6 @@ CeilingExceeded.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from math import comb
@@ -47,6 +46,7 @@ from .permutations import (
     DEFAULT_MAX_N,
     PermStats,
     _check_size,
+    _Frozen,
     _pattern_word,
     enumerate_avoiders,
     perm_stats,
@@ -55,11 +55,12 @@ from .permutations import (
 Exponents = tuple[int, int, int]  # (e_a, e_q, e_t)
 
 
-class MultiPoly:
+class MultiPoly(_Frozen):
     """Sparse polynomial in a, q, t with exact integer coefficients.
 
     Immutable; zero coefficients are never stored; equality, hashing and
     printing use the canonical descending-lex term order on (e_a, e_q, e_t).
+    Copies and pickles rebuild through the checking constructor.
     """
 
     __slots__ = ("_terms",)
@@ -85,9 +86,6 @@ class MultiPoly:
         poly = object.__new__(cls)
         object.__setattr__(poly, "_terms", {k: c for k, c in terms.items() if c})
         return poly
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -464,12 +462,15 @@ def t_to_q_inverse_shifted(p: MultiPoly, n: int) -> MultiPoly:
 # truncated series and the expansion-of-1 identity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(_Frozen):
     """Power series in z with MultiPoly coefficients, truncated at z^order."""
 
-    order: int
-    coeffs: tuple[MultiPoly, ...]
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs: tuple[MultiPoly, ...]):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.order < 0:
@@ -478,6 +479,14 @@ class TruncatedSeries:
             raise ValueError(
                 f"need {self.order + 1} coefficients, got {len(self.coeffs)}"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.order, self.coeffs) == (other.order, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.order, self.coeffs))
 
     @classmethod
     def monomial(cls, poly: MultiPoly, power: int, order: int) -> "TruncatedSeries":

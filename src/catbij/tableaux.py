@@ -17,19 +17,21 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import NotAvoiding321
-from .permutations import Permutation, _check_size, _require_avoids
+from .permutations import Permutation, _check_size, _Frozen, _require_avoids
 
 
-@dataclass(frozen=True)
-class StandardTableau:
+class StandardTableau(_Frozen):
     """Rows of a standard Young tableau: entries 1..n placed so that rows
     and columns strictly increase and row lengths weakly decrease."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
 
     @classmethod
     def _of(cls, rows) -> "StandardTableau":
@@ -55,6 +57,14 @@ class StandardTableau:
                 raise ValueError("row lengths must weakly decrease")
             if any(upper[c] >= lower[c] for c in range(len(lower))):
                 raise ValueError("columns must strictly increase")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rows,))
 
     @property
     def n(self) -> int:

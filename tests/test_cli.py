@@ -20,6 +20,7 @@ from catbij import (
     NotAvoiding231,
     NotAvoiding312,
     NotAvoiding321,
+    NoAssignment,
     Permutation,
     a_poly,
     area,
@@ -31,6 +32,8 @@ from catbij import (
     enumerate_dyck,
     path_stats,
     perm_stats,
+    permutations,
+    polynomials,
     tableaux,
     verification,
 )
@@ -512,10 +515,14 @@ class TestVerifyCommand:
 
 
 def _failures(bar, domain, test):
-    """Every failure of ``test`` over n = 1..bar, in domain order."""
+    """Every failure of ``test`` over n = 1..bar, in domain order; a test
+    that raises fails there."""
     for n in range(1, bar + 1):
         for x in domain(n):
-            failure = test(n, x)
+            try:
+                failure = test(n, x)
+            except Exception as exc:
+                failure = f"raised {type(exc).__name__}: {exc}"
             if failure is not None:
                 yield failure
 
@@ -606,6 +613,73 @@ class TestVerificationSuites:
             Check("fact", False, "counterexample: broken"),
             Check("per size", False, "counterexample: n=4"),
         ]
+
+    def test_row_that_raises_fails_at_its_smallest_counterexample(self):
+        domain = self.recording_domain([])
+
+        def row(raises_at, fails_at=()):
+            def test(n, x):
+                if (n, x) in raises_at:
+                    raise LookupError(f"no image for {x}@{n}")
+                return f"{x}@{n}" if (n, x) in fails_at else None
+            return test
+
+        rows = [
+            ("raises first", 4, domain, row({(2, "b"), (3, "a")}, {(2, "d")})),
+            ("fails first", 4, domain, row({(2, "a")}, {(1, "c")})),
+            ("raises late", 4, domain, row({(4, "d")})),
+            ("never", 4, domain, row(())),
+        ]
+        checks = _run(rows)
+        assert checks == row_by_row(rows)
+        assert checks == [
+            Check("raises first", False, "counterexample: raised LookupError: no image for b@2"),
+            Check("fails first", False, "counterexample: c@1"),
+            Check("raises late", False, "counterexample: raised LookupError: no image for d@4"),
+            Check("never", True),
+        ]
+
+    def test_keyboard_interrupt_ends_the_run(self):
+        def interrupted(n, x):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            _run([("demo", 3, verification._size, interrupted)])
+
+    def test_suite_row_that_raises_is_a_fail(self, monkeypatch, capsys):
+        stats = permutations.perm_stats
+
+        def breaking(p):
+            if p.word == (2, 1, 3):
+                raise ValueError(f"no stats for {p}")
+            return stats(p)
+
+        monkeypatch.setattr(permutations, "perm_stats", breaking)
+        code, out, err = run(capsys, "verify", "phi", "3")
+        assert (code, err) == (1, "")
+        assert out == (
+            "PASS  phi bijects 231-avoiders onto Dyck paths, n<=3\n"
+            "FAIL  maj(phi(w)) = maj(w) + imaj(w), n<=3"
+            "  [counterexample: raised ValueError: no stats for [2,1,3]]\n"
+            "PASS  valley sets of phi(w) are (Des, iDes), n<=3\n"
+            "FAIL  (maj1, maj0) of phi(w) is (maj, imaj), n<=3"
+            "  [counterexample: raised ValueError: no stats for [2,1,3]]\n"
+            "2/4 checks passed\n"
+        )
+
+    def test_kd_reports_no_assignment_as_raised(self, monkeypatch):
+        search = polynomials.kd_search
+
+        def failing(n, **kwargs):
+            if n == 2:
+                raise NoAssignment("n=2: no target monomial is left for path 0101")
+            return search(n, **kwargs)
+
+        monkeypatch.setattr(polynomials, "kd_search", failing)
+        exists, *facts = run_suite("kd", 4)
+        assert exists == Check("a shift assignment exists for every n<=4", False,
+                               "counterexample: raised NoAssignment: n=2: no target monomial is left for path 0101")
+        assert all(c.passed for c in facts)
 
     def test_driver_matches_row_by_row_on_every_suite(self, monkeypatch):
         grouped = run_suite("all", 5)
@@ -702,3 +776,12 @@ class TestVerificationSuites:
         with pytest.raises(CeilingExceeded) as info:
             run_suite(suite, bar, max_n=max_n)
         assert (info.value.n, info.value.max_n) == (max_n + 1, max_n)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # start-up cost: the value types are hand-written slotted classes
+    src = str(Path(catbij.__file__).resolve().parents[1])
+    code = "import catbij.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import re
 
 import pytest
@@ -8,10 +10,15 @@ from hypothesis import strategies as st
 from catbij import (
     CeilingExceeded,
     DescentData,
+    DyckPath,
     KdResult,
+    MultiPoly,
     PathStats,
     PermStats,
     Permutation,
+    StandardTableau,
+    TruncatedSeries,
+    ValleySet,
     avoider_poly,
     avoids,
     contains,
@@ -351,6 +358,74 @@ class TestRecords:
         assert perm_stats(SIGMA) == PermStats(des=4, asc=2, maj=12, imaj=13, inv=9)
         des, asc, ides, iasc = descent_data(SIGMA)
         assert (des, asc, ides, iasc) == ({1, 2, 4, 5}, {3, 6}, {1, 3, 4, 5}, {2, 6})
+
+
+class TestValueTypes:
+    """The value types that validate are slotted and immutable, with the
+    dataclass-style repr, equality within one class and the hash of the
+    field tuple; copies and pickles rebuild through the constructor."""
+
+    VALUES = [
+        (Permutation((2, 1, 3)), dict(word=(2, 1, 3)), "Permutation(word=(2, 1, 3))"),
+        (DyckPath((0, 0, 1, 1)), dict(steps=(0, 0, 1, 1)), "DyckPath(steps=(0, 0, 1, 1))"),
+        (ValleySet(4, (1, 2), (2, 3)), dict(n=4, xs=(1, 2), ys=(2, 3)),
+         "ValleySet(n=4, xs=(1, 2), ys=(2, 3))"),
+        (StandardTableau(((1, 3), (2, 4))), dict(rows=((1, 3), (2, 4))),
+         "StandardTableau(rows=((1, 3), (2, 4)))"),
+        (TruncatedSeries(1, (MultiPoly.one(), MultiPoly.term(2, q=1))),
+         dict(order=1, coeffs=(MultiPoly.one(), MultiPoly.term(2, q=1))),
+         "TruncatedSeries(order=1, coeffs=(MultiPoly(1), MultiPoly(2*q)))"),
+    ]
+    IDS = [type(v).__name__ for v, *_ in VALUES]
+
+    @pytest.mark.parametrize("value,fields,text", VALUES, ids=IDS)
+    def test_contract(self, value, fields, text):
+        assert repr(value) == text
+        twin = type(value)(**fields)
+        assert twin == value and not twin != value
+        assert hash(twin) == hash(value) == hash(tuple(fields.values()))
+        assert type(value)(*fields.values()) == value
+        assert value != tuple(fields.values())
+        assert value.__eq__(tuple(fields.values())) is NotImplemented
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            assert getattr(value, name) == fields[name]
+        with pytest.raises(AttributeError):
+            value.extra = 1
+
+    def test_not_equal_to_its_word(self):
+        assert Permutation((1,)) != (1,)
+        assert (1,) != Permutation((1,))
+        assert DyckPath((0, 1)) != StandardTableau(((1,),))
+
+    @pytest.mark.parametrize("value,fields,text", VALUES, ids=IDS)
+    def test_constructor_runs_post_init_once(self, monkeypatch, value, fields, text):
+        cls = type(value)
+        post_init, calls = cls.__dict__["__post_init__"], []
+        monkeypatch.setattr(cls, "__post_init__", lambda self: calls.append(post_init(self)))
+        cls(**fields)
+        cls(*fields.values())
+        assert calls == [None, None]
+
+    @pytest.mark.parametrize(
+        "value",
+        [v for v, *_ in VALUES] + [MultiPoly({(1, 2, 0): 3, (0, 0, 1): -1})],
+        ids=IDS + ["MultiPoly"],
+    )
+    def test_copy_and_pickle_round_trip(self, value):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value)
+            assert twin == value and repr(twin) == repr(value) and hash(twin) == hash(value)
+
+    def test_copies_are_checked_by_the_constructor(self, monkeypatch):
+        post_init, calls = Permutation.__post_init__, []
+        monkeypatch.setattr(Permutation, "__post_init__", lambda self: calls.append(post_init(self)))
+        copy.deepcopy(SIGMA)
+        pickle.loads(pickle.dumps(SIGMA))
+        assert len(calls) == 2
 
 
 class TestReconstruct:

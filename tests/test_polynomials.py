@@ -519,5 +519,5 @@ class TestKdSearch:
         _with_surplus(monkeypatch, extra)
         assert cli.main(["verify", "kd", "6"]) == 1
         out, err = capsys.readouterr()
-        assert "FAIL  a shift assignment exists for every n<=6  [counterexample: n=1: " in out
+        assert "FAIL  a shift assignment exists for every n<=6  [counterexample: raised NoAssignment: n=1: " in out
         assert err == ""

@@ -94,19 +94,17 @@ def _cmd_map(args) -> int:
 def _cmd_poly(args) -> int:
     which = args.which
     if which == "a":
-        poly = polynomials.a_poly(args.n, max_n=args.max_n)
+        poly = polynomials.a_poly(args.n)
     elif which == "cat":
-        poly = polynomials.cat_qt(args.n, max_n=args.max_n)
+        poly = polynomials.cat_qt(args.n)
     elif which == "macmahon":
-        poly = polynomials.macmahon_q_catalan(args.n, max_n=args.max_n)
+        poly = polynomials.macmahon_q_catalan(args.n)
     elif which.startswith("tristat:"):
         parts = which.split(":")
         if len(parts) != 3:
             print("tristat selector is tristat:<pattern>:<orientation>", file=sys.stderr)
             return EXIT_PARSE
-        poly = polynomials.tristat_gf(
-            args.n, parts[1], parts[2], max_n=args.max_n
-        )
+        poly = polynomials.tristat_gf(args.n, parts[1], parts[2], max_n=args.max_n)
     else:
         print(f"unknown polynomial {which!r}; choose a, cat, macmahon, "
               "or tristat:<pattern>:<orientation>", file=sys.stderr)

@@ -13,6 +13,7 @@ determine the path (``valleys`` / ``from_valleys`` below).
 from __future__ import annotations
 
 import json
+from operator import index
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -131,7 +132,8 @@ class ValleySet(_Frozen):
 
     The invariants (equal lengths, entries in 1..n-1, elementwise
     xs[l] <= ys[l]) characterize the valley sets of Dyck paths of
-    semilength n, so ``from_valleys`` is total on valid instances.
+    semilength n, so ``from_valleys`` is total on valid instances.  All
+    fields are stored as ints (bools as 0/1), others raise ValueError.
     """
 
     __slots__ = ("n", "xs", "ys")
@@ -143,22 +145,24 @@ class ValleySet(_Frozen):
         self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", tuple(self.xs))
-        object.__setattr__(self, "ys", tuple(self.ys))
-        if self.n < 1:
+        n, xs, ys = self.n, tuple(self.xs), tuple(self.ys)
+        try:
+            n, xs, ys = index(n), tuple(map(index, xs)), tuple(map(index, ys))
+        except TypeError:
+            raise ValueError(f"n and coordinates must be integers: n={n!r}, xs={xs}, ys={ys}") from None
+        for name, value in (("n", n), ("xs", xs), ("ys", ys)):
+            object.__setattr__(self, name, value)
+        if n < 1:
             raise ValueError("semilength must be at least 1")
-        if len(self.xs) != len(self.ys):
-            raise ValueError(f"|xs| != |ys|: {self.xs} vs {self.ys}")
-        for seq in (self.xs, self.ys):
-            if any(not 1 <= v <= self.n - 1 for v in seq):
-                raise ValueError(f"coordinates must lie in 1..{self.n - 1}: {seq}")
+        if len(xs) != len(ys):
+            raise ValueError(f"|xs| != |ys|: {xs} vs {ys}")
+        for seq in (xs, ys):
+            if any(not 1 <= v <= n - 1 for v in seq):
+                raise ValueError(f"coordinates must lie in 1..{n - 1}: {seq}")
             if any(a >= b for a, b in zip(seq, seq[1:])):
                 raise ValueError(f"coordinates must strictly increase: {seq}")
-        if any(x > y for x, y in zip(self.xs, self.ys)):
-            raise ValueError(
-                f"need xs[l] <= ys[l] elementwise (path above diagonal): "
-                f"{self.xs} vs {self.ys}"
-            )
+        if any(x > y for x, y in zip(xs, ys)):
+            raise ValueError(f"need xs[l] <= ys[l] elementwise (path above diagonal): {xs} vs {ys}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -45,7 +45,7 @@ class NotAvoiding321(PatternViolation):
 
 
 class CeilingExceeded(RuntimeError):
-    """An enumeration was requested above the configured size ceiling."""
+    """A stream, an enumerating oracle or a ``verify`` bar exceeds the ceiling."""
 
     def __init__(self, n, max_n):
         super().__init__(f"n={n} exceeds the enumeration ceiling {max_n}")

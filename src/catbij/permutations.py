@@ -29,14 +29,13 @@ DEFAULT_MAX_N = 12
 
 
 def _check_size(n: int, max_n: int | None = None) -> None:
-    """The size rule of every sized stream and closed route, applied before
-    any work: n < 1 raises ValueError and n above the ceiling max_n, when
-    one is given, raises CeilingExceeded(n, max_n).
+    """The size rule of every sized stream and polynomial route, applied
+    before any work: n < 1 raises ValueError and n above the ceiling max_n,
+    when one is given, raises CeilingExceeded(n, max_n).  The ceiling bounds
+    enumeration, so the closed routes, which enumerate nothing, give none.
 
-    The verify suites keep their own rule, worded for size bars:
-    ``verification.run_suite`` raises "size bar must be at least 1" and
-    CeilingExceeded(max_n + 1, max_n), because the stderr of ``catbij
-    verify`` is fixed output.
+    The verify suites word the rule for size bars: ``verification.run_suite``
+    raises "size bar must be at least 1" and CeilingExceeded(bar, max_n).
     """
     if n < 1:
         raise ValueError("n must be at least 1")

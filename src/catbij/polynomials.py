@@ -25,9 +25,10 @@ up to which they check it:
                            (maj1, C(n,2)-maj0) bistatistic onto cat_qt, by a
                            sorted matching on each diagonal alpha - beta.
 
-The closed routes enumerate nothing, yet keep the size rule of the streams,
-``permutations._check_size``: n < 1 raises ValueError and n > max_n raises
-CeilingExceeded.
+Every route raises ValueError for n < 1 (``permutations._check_size``).  The
+ceiling guards enumeration only: the oracles, the 123/321 branch of
+``tristat_gf`` and ``kd_search`` raise CeilingExceeded for n > max_n, and
+the closed routes, which enumerate nothing, take no ceiling.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from collections import Counter, defaultdict
 from functools import partial
 from itertools import product
 from math import comb
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable, Mapping, NamedTuple
 
 import json
@@ -60,7 +61,8 @@ class MultiPoly(_Frozen):
 
     Immutable; zero coefficients are never stored; equality, hashing and
     printing use the canonical descending-lex term order on (e_a, e_q, e_t).
-    Copies and pickles rebuild through the checking constructor.
+    Exponents and coefficients are stored as ints (bools as 0/1), others raise
+    ValueError.  Copies and pickles rebuild through the checking constructor.
     """
 
     __slots__ = ("_terms",)
@@ -69,7 +71,11 @@ class MultiPoly(_Frozen):
         clean: dict[Exponents, int] = {}
         if terms:
             for key, coef in terms.items():
-                ea, eq, et = key
+                try:
+                    ea, eq, et = map(index, key)
+                    coef = index(coef)
+                except TypeError:
+                    raise ValueError(f"exponents and coefficients must be integers: {key}: {coef!r}") from None
                 if ea < 0 or eq < 0 or et < 0:
                     raise NegativeExponent(f"exponents must be nonnegative: {key}")
                 if coef:
@@ -295,7 +301,7 @@ def _term_map(p: MultiPoly, key: Callable[[int, int, int], Exponents]) -> MultiP
     return MultiPoly(out)
 
 
-def _valley_gf(n: int, max_n: int) -> MultiPoly:
+def _valley_gf(n: int) -> MultiPoly:
     """Dyck paths counted by a^valleys q^(sum of x) t^(sum of y): by ``phi``,
     the (des, maj, imaj) polynomial of the 231-avoiders.
 
@@ -304,7 +310,7 @@ def _valley_gf(n: int, max_n: int) -> MultiPoly:
     convention of ``dyck.valleys``), so it sends the key (k, X, Y) to
     (k + 1, X + j, Y + i).
     """
-    _check_size(n, max_n)
+    _check_size(n)
     layer = {(0, 0, False): Counter({(0, 0, 0): 1})}
     for _ in range(2 * n):
         following: defaultdict[tuple[int, int, bool], Counter] = defaultdict(Counter)
@@ -322,7 +328,7 @@ def _valley_gf(n: int, max_n: int) -> MultiPoly:
     return MultiPoly._of(layer[n, n, True])  # counts: no exponent is negative
 
 
-def a_poly(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
+def a_poly(n: int) -> MultiPoly:
     """Bistatistic polynomial: sum over 231-avoiders of q^maj t^(C(n,2)-imaj).
 
     ``phi`` carries (maj, imaj) to (sum of x, sum of y) over the valleys, so
@@ -331,7 +337,7 @@ def a_poly(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
     >>> str(a_poly(2))
     'q + t'
     """
-    return _term_map(_valley_gf(n, max_n), lambda k, x, y: (0, x, comb(n, 2) - y))
+    return _term_map(_valley_gf(n), lambda k, x, y: (0, x, comb(n, 2) - y))
 
 
 def a_poly_via_paths(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
@@ -339,7 +345,7 @@ def a_poly_via_paths(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
     return path_poly(n, lambda D: (0, (s := path_stats(D)).maj1, comb(n, 2) - s.maj0), max_n)
 
 
-def cat_qt(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
+def cat_qt(n: int) -> MultiPoly:
     """q,t-Catalan polynomial: sum over Dyck paths of q^area t^bounce.
 
     Computed as the sum over k of F_(n,k), where F_(0,0) = 1, F_(m,0) = 0 for
@@ -353,7 +359,7 @@ def cat_qt(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
     >>> str(cat_qt(3))
     'q^3 + q^2*t + q*t^2 + q*t + t^3'
     """
-    _check_size(n, max_n)
+    _check_size(n)
     binomial = _pascal(n - 1)
     F = [[MultiPoly.one()]]  # F[m][k]
     for m in range(1, n + 1):
@@ -367,14 +373,14 @@ def cat_qt(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
     return sum(F[n], MultiPoly.zero())
 
 
-def macmahon_q_catalan(n: int, max_n: int = DEFAULT_MAX_N) -> MultiPoly:
+def macmahon_q_catalan(n: int) -> MultiPoly:
     """Major-index q-Catalan: sum over Dyck paths of q^maj, the q = t
     specialization of the valley DP.
 
     >>> str(macmahon_q_catalan(3))
     'q^6 + q^4 + q^3 + q^2 + 1'
     """
-    return _term_map(_valley_gf(n, max_n), lambda k, x, y: (0, x + y, 0))
+    return _term_map(_valley_gf(n), lambda k, x, y: (0, x + y, 0))
 
 
 def macmahon_q_catalan_quotient(n: int) -> MultiPoly:
@@ -417,8 +423,8 @@ def tristat_gf(
     complemented: sum of a^(n-1-des) q^(C(n,2)-maj) t^(C(n,2)-imaj)
 
     The plain form of 231, 312, 132 and 213 is a term map of the valley DP;
-    123 and 321 are enumerated.  The complemented form is a term map of the
-    plain one.
+    123 and 321 are enumerated, under the ceiling max_n.  The complemented
+    form is a term map of the plain one.
     """
     word = _pattern_word(pattern)
     if len(word) != 3:
@@ -426,7 +432,7 @@ def tristat_gf(
     if orientation not in ("plain", "complemented"):
         raise ValueError(f"unknown orientation {orientation!r}")
     if word in _VALLEY_KEYS:
-        plain = _term_map(_valley_gf(n, max_n), partial(_VALLEY_KEYS[word], n))
+        plain = _term_map(_valley_gf(n), partial(_VALLEY_KEYS[word], n))
     else:
         plain = avoider_poly(n, word, lambda s: (s.des, s.maj, s.imaj), max_n)
     return plain if orientation == "plain" else _complemented(plain, n)
@@ -517,11 +523,7 @@ class TruncatedSeries(_Frozen):
         return TruncatedSeries(self.order, tuple(out))
 
 
-def verify_gf_identity(
-    N: int,
-    numerator: Callable[[int], MultiPoly] | None = None,
-    max_n: int = DEFAULT_MAX_N,
-) -> list[MultiPoly]:
+def verify_gf_identity(N: int, numerator: Callable[[int], MultiPoly] | None = None) -> list[MultiPoly]:
     """Residuals, per order of z, of the expansion of 1 into bistatistic
     summands:
 
@@ -542,8 +544,7 @@ def verify_gf_identity(
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    if numerator is None:
-        numerator = lambda m: a_poly(m, max_n=max_n)
+    numerator = numerator or a_poly
     binomial = _pascal(2 * N)
     total = TruncatedSeries.monomial(MultiPoly.zero(), 0, N)
     for m in range(N + 1):
@@ -589,10 +590,10 @@ def _diagonals(n: int, max_n: int) -> tuple[list[DyckPath], list[tuple[list, lis
     its paths as (maj1, path) sorted stably by maj1 with the ascending alphas
     of its cat_qt(n) monomial copies.  Unequal counts raise NoAssignment."""
     shift = comb(n, 2)
+    paths = list(enumerate_dyck(n, max_n=max_n))  # the ceiling applies before cat_qt runs
     alphas: defaultdict[int, list[int]] = defaultdict(list)
-    for (_, alpha, beta), c in reversed(cat_qt(n, max_n=max_n).terms()):
+    for (_, alpha, beta), c in reversed(cat_qt(n).terms()):
         alphas[alpha - beta + shift] += [alpha] * c
-    paths = list(enumerate_dyck(n, max_n=max_n))
     members: defaultdict[int, list[tuple[int, DyckPath]]] = defaultdict(list)
     for D in paths:
         s = path_stats(D)

@@ -103,8 +103,8 @@ def _catalan(n: int) -> int:
 # phi
 # ---------------------------------------------------------------------------
 
-def suite_phi(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
-    avoiders = _avoiders((2, 3, 1), max_n)
+def suite_phi(n_max: int) -> list[Check]:
+    avoiders = _avoiders((2, 3, 1), n_max)
     stats = _memo(permutations.perm_stats)
 
     phi = _memo(bijections.phi)
@@ -123,7 +123,7 @@ def suite_phi(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
                 return f"round-trip fails at {p}"
         if count != _catalan(n) or len(images) != _catalan(n):
             return f"n={n}: {count} avoiders, {len(images)} images, want {_catalan(n)}"
-        paths = dyck.enumerate_dyck(n, max_n=max_n)
+        paths = dyck.enumerate_dyck(n, max_n=n_max)
         return next((f"path round-trip fails at {D}" for D in paths if phi(bijections.phi_inv(D)) != D), None)
 
     def maj_additive(n: int, p: Permutation) -> bool:
@@ -151,8 +151,8 @@ def suite_phi(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # descent-geometry lemmas on 231-avoiders
 # ---------------------------------------------------------------------------
 
-def suite_lemmas(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
-    avoiders = _avoiders((2, 3, 1), max_n)
+def suite_lemmas(n_max: int) -> list[Check]:
+    avoiders = _avoiders((2, 3, 1), n_max)
     descent_data = _memo(permutations.descent_data)
 
     def ides_from_values(n: int, p: Permutation) -> bool:
@@ -163,7 +163,7 @@ def suite_lemmas(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
         # pattern-major: every n for one pattern before the next, so the row runs once, at bar 1
         patterns = ((1, 3, 2), (2, 3, 1), (3, 1, 2), (2, 1, 3))
         sizes = range(1, n_max + 1)
-        return ((pat, p) for pat in patterns for n in sizes for p in _avoiders(pat, max_n)(n))
+        return ((pat, p) for pat in patterns for n in sizes for p in _avoiders(pat, n_max)(n))
 
     def des_counts_match(_, pair: tuple) -> str | None:
         pattern, p = pair
@@ -217,8 +217,8 @@ def suite_lemmas(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # kappa and its factorization
 # ---------------------------------------------------------------------------
 
-def suite_kappa(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
-    avoiders = _avoiders((1, 3, 2), max_n)
+def suite_kappa(n_max: int) -> list[Check]:
+    avoiders = _avoiders((1, 3, 2), n_max)
     heights_bar = min(n_max, 7)  # the height checks range over all of S_n
     descent_data = _memo(permutations.descent_data)
     heights = _memo(bijections.heights)
@@ -268,7 +268,7 @@ def suite_kappa(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # inversion number vs area
 # ---------------------------------------------------------------------------
 
-def suite_inv_area(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
+def suite_inv_area(n_max: int) -> list[Check]:
     def bridge(n: int, p: Permutation) -> bool:
         image = dyck.valley_complement(bijections.phi(p))
         return dyck.area(image) == permutations.perm_stats(p).inv
@@ -278,9 +278,9 @@ def suite_inv_area(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 
     return _run([
         (f"inv(w) = area(complement(phi(w))) on 231-avoiders, n<={n_max}", n_max,
-         _avoiders((2, 3, 1), max_n), _holds(bridge)),
+         _avoiders((2, 3, 1), n_max), _holds(bridge)),
         (f"area(beta(w)) = inv(w) on 312-avoiders, n<={n_max}", n_max,
-         _avoiders((3, 1, 2), max_n), _holds(beta_carries_inv)),
+         _avoiders((3, 1, 2), n_max), _holds(beta_carries_inv)),
     ])
 
 
@@ -288,24 +288,19 @@ def suite_inv_area(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # polynomial symmetry and specializations
 # ---------------------------------------------------------------------------
 
-def suite_symmetry(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
-    @_memo
-    def a(n: int) -> polynomials.MultiPoly:
-        return polynomials.a_poly(n, max_n=max_n)
-
-    @_memo
-    def cat(n: int) -> polynomials.MultiPoly:
-        return polynomials.cat_qt(n, max_n=max_n)
+def suite_symmetry(n_max: int) -> list[Check]:
+    a = _memo(polynomials.a_poly)
+    cat = _memo(polynomials.cat_qt)
 
     def a_via_avoiders(n: int) -> polynomials.MultiPoly:
         shift = comb(n, 2)
-        return polynomials.avoider_poly(n, 231, lambda s: (0, s.maj, shift - s.imaj), max_n=max_n)
+        return polynomials.avoider_poly(n, 231, lambda s: (0, s.maj, shift - s.imaj), max_n=n_max)
 
     def symmetric(p: polynomials.MultiPoly) -> bool:
         return polynomials.qt_swap(p) == p
 
     def specializations(n: int) -> bool:
-        mac = polynomials.macmahon_q_catalan(n, max_n=max_n)
+        mac = polynomials.macmahon_q_catalan(n)
         quot = polynomials.macmahon_q_catalan_quotient(n)
         a_shift = polynomials.t_to_q_inverse_shifted(a(n), n)
         cat_shift = polynomials.t_to_q_inverse_shifted(cat(n), n)
@@ -315,7 +310,7 @@ def suite_symmetry(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
         _per_n(f"A_n(q,t) = A_n(t,q), n<={n_max}", n_max, lambda n: symmetric(a(n))),
         _per_n(f"Cat_n(q,t) = Cat_n(t,q), n<={n_max}", n_max, lambda n: symmetric(cat(n))),
         _per_n(f"permutation and path routes to A_n agree, n<={n_max}", n_max,
-               lambda n: a(n) == a_via_avoiders(n) == polynomials.a_poly_via_paths(n, max_n=max_n)),
+               lambda n: a(n) == a_via_avoiders(n) == polynomials.a_poly_via_paths(n, max_n=n_max)),
         _per_n(f"q^C(n,2) A_n(q,1/q) = maj q-Catalan = binomial quotient = "
                f"q^C(n,2) Cat_n(q,1/q), n<={n_max}", n_max, specializations),
         _per_n(f"Cat_n(1,1) is the Catalan number, n<={n_max}", n_max,
@@ -327,9 +322,9 @@ def suite_symmetry(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # generating-function identity
 # ---------------------------------------------------------------------------
 
-def suite_gf(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
+def suite_gf(n_max: int) -> list[Check]:
     def residual() -> str | None:
-        res = polynomials.verify_gf_identity(n_max, max_n=max_n)
+        res = polynomials.verify_gf_identity(n_max)
         return next((f"order {k}: {poly}" for k, poly in enumerate(res) if not poly.is_zero), None)
 
     return _run([_fact(f"expansion-of-1 residuals vanish through z^{n_max}", residual)])
@@ -344,9 +339,9 @@ def _drop_a(p: polynomials.MultiPoly) -> polynomials.MultiPoly:
     return polynomials._term_map(p, lambda _, eq, et: (0, eq, et))
 
 
-def suite_tristat(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
+def suite_tristat(n_max: int) -> list[Check]:
     def gf(n: int, pattern: int, orientation: str) -> polynomials.MultiPoly:
-        plain = polynomials.avoider_poly(n, pattern, lambda s: (s.des, s.maj, s.imaj), max_n=max_n)
+        plain = polynomials.avoider_poly(n, pattern, lambda s: (s.des, s.maj, s.imaj), max_n=n_max)
         return plain if orientation == "plain" else polynomials._complemented(plain, n)
 
     def agree(plain: int, complemented: int) -> Callable[[int], bool]:
@@ -364,7 +359,7 @@ def suite_tristat(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # RSK and the evacuation involution
 # ---------------------------------------------------------------------------
 
-def suite_rsk_j(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
+def suite_rsk_j(n_max: int) -> list[Check]:
     perms_bar = min(n_max, 7)  # the RSK checks range over all of S_n
     rsk = _memo(tableaux.rsk)
 
@@ -423,7 +418,7 @@ def suite_rsk_j(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
         ("evacuation: involution, shape, descent complement (tableaux)", min(n_max + 1, 8),
          tableaux.standard_tableaux, evacuation),
         (f"j: involution on 321-avoiders fixing Des, reversing iDes, n<={n_max}", n_max,
-         _avoiders((3, 2, 1), max_n), j_props),
+         _avoiders((3, 2, 1), n_max), j_props),
     ])
 
 
@@ -431,9 +426,9 @@ def suite_rsk_j(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
 # shift assignments
 # ---------------------------------------------------------------------------
 
-def suite_kd(n_max: int, max_n: int = DEFAULT_MAX_N) -> list[Check]:
+def suite_kd(n_max: int) -> list[Check]:
     def search(n: int, exhaustive: bool) -> polynomials.KdResult:
-        return polynomials.kd_search(n, all_assignments=exhaustive, max_n=max_n)
+        return polynomials.kd_search(n, all_assignments=exhaustive, max_n=n_max)
 
     def exists(n: int, _) -> None:
         search(n, False)
@@ -488,7 +483,8 @@ def run_suite(name: str, n_max: int | None = None, max_n: int = DEFAULT_MAX_N) -
 
     Unknown names and a bar below 1 raise ValueError; a bar above the
     ceiling raises CeilingExceeded before any check runs, for 'all' before
-    any suite runs.
+    any suite runs.  A suite enumerates only up to its bar, so it passes
+    the bar on as the ceiling of its streams.
 
     >>> [c.passed for c in run_suite("inv-area", 3)]
     [True, True]
@@ -504,8 +500,8 @@ def run_suite(name: str, n_max: int | None = None, max_n: int = DEFAULT_MAX_N) -
         bar = SUITES[suite][1] if n_max is None else n_max
         if bar < 1:
             raise ValueError(f"size bar must be at least 1, got {bar}")
-        if bar + (suite == "gf-identity") > max_n:  # the order-N gf identity needs A_(N+1)
-            raise CeilingExceeded(max_n + 1, max_n)
+        if bar > max_n:
+            raise CeilingExceeded(bar, max_n)
     if name == "all":
         return [check for suite in SUITES for check in run_suite(suite, n_max=n_max, max_n=max_n)]
-    return SUITES[name][0](bar, max_n=max_n)
+    return SUITES[name][0](bar)

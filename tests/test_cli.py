@@ -308,9 +308,16 @@ class TestPoly:
         assert err == "error: n must be at least 1\n"
 
     def test_ceiling_is_exit_4(self, capsys):
-        code, _, err = run(capsys, "--max-n", "3", "poly", "a", "4")
+        # the 123/321 classes are enumerated, so the ceiling applies
+        code, _, err = run(capsys, "--max-n", "3", "poly", "tristat:123:plain", "4")
         assert code == 4
         assert "ceiling" in err
+
+    @pytest.mark.parametrize("kind", ["a", "cat", "macmahon", "tristat:231:plain", "tristat:213:complemented"])
+    def test_closed_routes_ignore_the_ceiling(self, capsys, kind):
+        result = run(capsys, "--max-n", "3", "poly", kind, "4")
+        assert result[0] == 0
+        assert result == run(capsys, "poly", kind, "4")
 
     @settings(max_examples=30, deadline=None)
     @given(_POLY_ARGS)
@@ -477,6 +484,15 @@ class TestVerifyCommand:
     def test_unknown_suite_is_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "nonsense")
         assert code == 2
+
+    def test_ceiling_names_the_bar(self, capsys):
+        assert run(capsys, "verify", "phi", "20") == (
+            4, "", "ceiling: n=20 exceeds the enumeration ceiling 12; raise with --max-n\n")
+
+    def test_gf_identity_at_the_ceiling(self, capsys):
+        # the identity of order N reads A_(N+1) from a closed route: no enumeration
+        code, out, _ = run(capsys, "--max-n", "3", "verify", "gf-identity", "3")
+        assert (code, out) == (0, "PASS  expansion-of-1 residuals vanish through z^3\n1/1 checks passed\n")
 
     def test_failing_check_is_exit_1(self, capsys, monkeypatch):
         def broken(n_max=1, max_n=12):
@@ -763,19 +779,18 @@ class TestVerificationSuites:
 
     @pytest.mark.parametrize("suite,bar,max_n", [
         pytest.param("all", 4, 3, id="all-4"),
-        pytest.param("gf-identity", 3, 3, id="gf-identity-3"),
-        pytest.param("all", 5, 5, id="all-5"),
+        pytest.param("gf-identity", 3, 2, id="gf-identity-3"),
+        pytest.param("all", 5, 3, id="all-5"),
     ])
     def test_ceiling_is_checked_before_any_check_runs(self, monkeypatch, suite, bar, max_n):
-        # gf-identity at order N needs A_(N+1), one above the ceiling when
-        # N = max_n; `all` must reject it before phi..symmetry run
+        # the error names the bar; `all` rejects it before phi..symmetry run
         def no_checks(*args):
             raise AssertionError("a check ran before the ceiling was applied")
 
         monkeypatch.setattr(verification, "_run", no_checks)
         with pytest.raises(CeilingExceeded) as info:
             run_suite(suite, bar, max_n=max_n)
-        assert (info.value.n, info.value.max_n) == (max_n + 1, max_n)
+        assert (info.value.n, info.value.max_n) == (bar, max_n)
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

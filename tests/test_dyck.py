@@ -195,6 +195,22 @@ class TestValleys:
         v = valleys(RUNNING)
         assert ValleySet.from_json(v.to_json()) == v
 
+    @pytest.mark.parametrize("text,bad", [
+        ('{"n": 4, "xs": [1.5], "ys": [2]}', "1.5"),
+        ('{"n": 4, "xs": [1], "ys": ["2"]}', "'2'"),
+        ('{"n": 4.0, "xs": [1], "ys": [2]}', "4.0"),
+        ('{"n": null, "xs": [], "ys": []}', "None"),
+    ])
+    def test_from_json_rejects_non_integers(self, text, bad):
+        with pytest.raises(ValueError, match="must be integers") as info:
+            ValleySet.from_json(text)
+        assert bad in str(info.value)
+
+    def test_bools_are_stored_as_ints(self):
+        v = ValleySet.from_json('{"n": 3, "xs": [true], "ys": [2]}')
+        assert v == ValleySet(3, (1,), (2,))
+        assert v.to_json() == '{"n": 3, "xs": [1], "ys": [2]}'
+
 
 class TestAreaBounce:
     def test_extremes(self):

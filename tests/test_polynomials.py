@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from catbij import (
+    CeilingExceeded,
     MultiPoly,
     NegativeExponent,
     NoAssignment,
@@ -74,6 +75,24 @@ class TestMultiPoly:
     def test_json_round_trip(self):
         p = A_GOLDEN[4]
         assert MultiPoly.from_json(p.to_json()) == p
+
+    @pytest.mark.parametrize("term,bad", [
+        ('"a": 2.5, "q": 0, "t": 0, "coef": 1', "2.5"),
+        ('"a": 0, "q": 1, "t": 0, "coef": 1.5', "1.5"),
+        ('"a": 0, "q": 0, "t": "1", "coef": 1', "'1'"),
+        ('"a": 0, "q": 0, "t": 0, "coef": "2"', "'2'"),
+        ('"a": null, "q": 0, "t": 0, "coef": 1', "None"),
+    ])
+    def test_from_json_rejects_non_integers(self, term, bad):
+        with pytest.raises(ValueError, match="must be integers") as info:
+            MultiPoly.from_json(f'{{"terms": [{{{term}}}]}}')
+        assert bad in str(info.value)
+
+    def test_bools_are_stored_as_ints(self):
+        p = MultiPoly({(True, False, 0): True})
+        assert p == A
+        assert p.to_json() == '{"terms": [{"a": 1, "q": 0, "t": 0, "coef": 1}]}'
+        assert MultiPoly.from_json('{"terms": [{"a": true, "q": 0, "t": 0, "coef": 2}]}') == 2 * A
 
     def test_zero_coefficients_dropped(self):
         assert (Q - Q).is_zero
@@ -160,7 +179,7 @@ class TestQBinomial:
 
 class TestExactDivision:
     def test_quotient_route(self):
-        for n in range(1, 8):
+        for n in range(1, 15):
             assert macmahon_q_catalan_quotient(n) == macmahon_q_catalan(n)
 
     def test_quotient_rejects_n_below_one(self):
@@ -213,12 +232,12 @@ class TestPolynomialZoo:
 
         monkeypatch.setattr(polynomials, "enumerate_dyck", no_stream)
         monkeypatch.setattr(polynomials, "enumerate_avoiders", no_stream)
-        n = 14
-        a, cat = a_poly(n, max_n=n), cat_qt(n, max_n=n)
+        n = 14  # above the default ceiling 12, which guards enumeration only
+        a, cat = a_poly(n), cat_qt(n)
         assert qt_swap(a) == a
         assert qt_swap(cat) == cat
         assert cat.evaluate() == 2674440  # the Catalan number C_14
-        mac = macmahon_q_catalan(n, max_n=n)
+        mac = macmahon_q_catalan(n)
         assert t_to_q_inverse_shifted(a, n) == mac == macmahon_q_catalan_quotient(n)
         assert t_to_q_inverse_shifted(cat, n) == mac
 
@@ -273,6 +292,13 @@ class TestTristat:
                 return (n - 1 - s.des, shift - s.maj, shift - s.imaj)
 
             assert tristat_gf(n, pattern, orientation) == avoider_poly(n, pattern, key)
+
+    def test_ceiling_guards_only_the_enumerated_classes(self):
+        for pattern in (231, 312, 132, 213):
+            assert tristat_gf(4, pattern, max_n=3).evaluate() == 14
+        for pattern in (123, 321):
+            with pytest.raises(CeilingExceeded):
+                tristat_gf(4, pattern, max_n=3)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match=r"^pattern must be one of \[123, 132, 213, 231, 312, 321\]$"):
@@ -380,7 +406,7 @@ def _with_surplus(monkeypatch, extra):
     from catbij import polynomials
 
     plain = polynomials.cat_qt
-    monkeypatch.setattr(polynomials, "cat_qt", lambda n, max_n=12: plain(n, max_n) + extra(n))
+    monkeypatch.setattr(polynomials, "cat_qt", lambda n: plain(n) + extra(n))
 
 
 class TestKdSearch:
@@ -483,8 +509,8 @@ class TestKdSearch:
 
         plain = polynomials.cat_qt
 
-        def raised(n, max_n=12):
-            p = plain(n, max_n)
+        def raised(n):
+            p = plain(n)
             (_, a, b), _ = max(p.terms(), key=lambda term: term[0][1])
             return p - MultiPoly.term(1, q=a, t=b) + MultiPoly.term(1, q=a + 1, t=b + 1)
 

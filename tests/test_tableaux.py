@@ -221,7 +221,7 @@ class TestJInvolution:
             j_involution(Permutation((3, 2, 1)))
 
     def test_involution_and_descents(self):
-        for n in range(1, 7):
+        for n in range(1, 9):
             for p in enumerate_avoiders(n, 321):
                 image = j_involution(p)
                 assert avoids(image, (3, 2, 1))

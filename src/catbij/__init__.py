@@ -25,6 +25,7 @@ from .permutations import (
     DescentData,
     PermStats,
     Permutation,
+    avoiders_with_stats,
     avoids,
     contains,
     contains_naive,
@@ -41,6 +42,7 @@ from .permutations import (
 from .dyck import (
     DyckPath,
     PathStats,
+    PathSums,
     ValleySet,
     area,
     bounce,
@@ -48,6 +50,7 @@ from .dyck import (
     from_valleys,
     parse_path,
     path_stats,
+    paths_with_stats,
     reflect,
     valley_complement,
     valleys,

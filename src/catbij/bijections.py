@@ -73,9 +73,12 @@ def heights(p: Permutation) -> tuple[int, ...]:
     >>> heights(Permutation((3, 4, 5, 1, 2, 6)))
     (3, 2, 1, 2, 1, 0)
     """
-    w = p.word
-    n = p.n
-    return tuple(sum(1 for j in range(i + 1, n) if w[j] > w[i]) for i in range(n))
+    hs = []
+    later = 0  # bit v set iff v comes after the current position
+    for v in reversed(p.word):
+        hs.append((later >> v).bit_count())
+        later |= 1 << v
+    return tuple(reversed(hs))
 
 
 def kappa(p: Permutation) -> DyckPath:

@@ -130,16 +130,18 @@ def _cmd_verify(args) -> int:
 def _cmd_enumerate(args) -> int:
     kind = args.kind
     if kind == "dyck":
+        # bounce is no prefix sum: it stays a call per path
         rows = (
-            (str(D),) + _path_row(D)
-            for D in dyck.enumerate_dyck(args.n, max_n=args.max_n)
+            (str(D), *sums, dyck.bounce(D))
+            for D, sums in dyck.paths_with_stats(args.n, max_n=args.max_n)
         )
         header = ("word", *_PATH_FIELDS)
     elif kind.startswith("avoiders:"):
         pattern = kind.split(":", 1)[1]
         rows = (
-            (str(p),) + _perm_row(p)
-            for p in permutations.enumerate_avoiders(args.n, pattern, max_n=args.max_n)
+            (str(p), des, maj, imaj, inv)
+            for p, (des, _, maj, imaj, inv)
+            in permutations.avoiders_with_stats(args.n, pattern, max_n=args.max_n)
         )
         header = ("word", *_PERM_FIELDS)
     else:

@@ -177,8 +177,24 @@ class ValleySet(_Frozen):
 
     @classmethod
     def from_json(cls, text: str) -> "ValleySet":
-        data = json.loads(text)
-        return cls(n=data["n"], xs=tuple(data["xs"]), ys=tuple(data["ys"]))
+        n, xs, ys = _json_fields(json.loads(text), "valley set", ("n", "xs", "ys"), ("xs", "ys"))
+        return cls(n=n, xs=tuple(xs), ys=tuple(ys))
+
+
+def _json_fields(data, what: str, names: tuple[str, ...], arrays: tuple[str, ...] = ()) -> list:
+    """The named fields of a parsed JSON object, for the ``from_json``
+    readers.  A document that is not an object, lacks a field, or holds
+    something other than an array in a field named in ``arrays`` raises
+    ValueError naming it.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    for name in names:
+        if name not in data:
+            raise ValueError(f"{what} lacks the field {name!r}")
+        if name in arrays and not isinstance(data[name], list):
+            raise ValueError(f"{what} field {name!r} must be an array, got {type(data[name]).__name__}")
+    return [data[name] for name in names]
 
 
 def valleys(D: DyckPath) -> ValleySet:
@@ -279,16 +295,43 @@ def reflect(D: DyckPath) -> DyckPath:
     return DyckPath(tuple(1 - s for s in reversed(D.steps)))
 
 
-def enumerate_dyck(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[DyckPath]:
-    """Stream all Dyck paths of semilength n in lex order of the step word.
-    A successor makes the rightmost north step that starts above the diagonal
-    an east step, then puts the remaining north steps before the east steps."""
+class PathSums(NamedTuple):
+    """The sums the path stream carries: maj, maj0 and maj1 as in
+    ``path_stats``, and the area."""
+
+    maj: int
+    maj0: int
+    maj1: int
+    area: int
+
+
+def paths_with_stats(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[tuple[DyckPath, PathSums]]:
+    """Stream all Dyck paths of semilength n in lex order of the step word,
+    each with its maj, maj0, maj1 and area.
+
+    A successor makes the rightmost north step that starts above the
+    diagonal, at j, an east step, then puts the remaining north steps before
+    the east steps: the new suffix is one east step, then north steps, then
+    east steps only.  Its one valley sits at j + 1, so the sums of the new
+    path follow from those of the first j steps without a pass over the
+    word.  The walk keeps those prefix sums at each north step, the only
+    places a later successor can start from.  ``path_stats`` and ``area``
+    are the oracles.
+
+    >>> [(str(D), s.maj, s.area) for D, s in paths_with_stats(2)]
+    [('0011', 0, 1), ('0101', 2, 0)]
+    """
     _check_size(n, max_n)
 
-    def walk() -> Iterator[DyckPath]:
+    def walk() -> Iterator[tuple[DyckPath, PathSums]]:
         steps = (NORTH,) * n + (EAST,) * n
+        # before[p]: (easts, maj, maj1, area) of steps[:p], for each north step p
+        before = [(0, 0, 0, p * (p - 1) // 2) for p in range(n)] + [None] * n
+        maj = maj1 = 0
+        total_area = n * (n - 1) // 2
+        new = tuple.__new__  # builds PathSums without its keyword-parsing __new__
         while True:
-            yield DyckPath(steps)
+            yield DyckPath(steps), new(PathSums, (maj, maj - maj1, maj1, total_area))
             # scan right to left; the north step at j starts at height ones - zeros - 1
             zeros = ones = 0
             for j in range(2 * n - 1, 0, -1):
@@ -301,5 +344,23 @@ def enumerate_dyck(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[DyckPath]:
             else:
                 return
             steps = steps[:j] + (EAST,) + (NORTH,) * (zeros + 1) + (EAST,) * (ones - 1)
+            easts, maj, maj1, area_ = before[j]
+            height = j - 2 * easts - 1  # where the first new north step starts
+            easts += 1
+            before[j + 1] = (easts, maj, maj1, area_)
+            maj += j + 1  # the valley at j + 1
+            maj1 += easts
+            for p in range(j + 2, j + 2 + zeros):
+                area_ += height  # a north step adds the height it starts at
+                height += 1
+                before[p] = (easts, maj, maj1, area_)
+            total_area = area_ + height
 
     return walk()
+
+
+def enumerate_dyck(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[DyckPath]:
+    """The paths of ``paths_with_stats``: every Dyck path of semilength n in
+    lex order of the step word.  A bad size raises here, not at the first
+    ``next()``."""
+    return (D for D, _ in paths_with_stats(n, max_n))

@@ -325,12 +325,13 @@ def _require_avoids(p: Permutation, violation: type) -> None:
         raise violation(p.word)
 
 
-def enumerate_avoiders(
+def avoiders_with_stats(
     n: int,
     pattern,
     max_n: int = DEFAULT_MAX_N,
-) -> Iterator[Permutation]:
-    """Stream all pattern-avoiding permutations of {1..n} in lex order.
+) -> Iterator[tuple[Permutation, PermStats]]:
+    """Stream all pattern-avoiding permutations of {1..n} in lex order, each
+    with its ``perm_stats``.
 
     Depth-first generation over avoiding prefixes, each extended only by the
     values that complete no occurrence; containment is monotone under
@@ -346,6 +347,13 @@ def enumerate_avoiders(
     test v only against the copies it would end, as the prefix avoids: the
     shorter subsequences of the prefix followed by v.  A bad pattern is
     reported before a bad size.
+
+    ``sums[k]`` holds (des, maj, imaj, inv) of the first k values, so a row's
+    statistics cost one step from its parent prefix, taken as in
+    ``perm_stats`` (the oracle), and not a pass over the word.
+
+    >>> [(str(p), s.inv) for p, s in avoiders_with_stats(3, 231)][-2:]
+    [('[3,1,2]', 2), ('[3,2,1]', 3)]
     """
     pat = _pattern_word(pattern)
     _check_size(n, max_n)
@@ -354,18 +362,33 @@ def enumerate_avoiders(
     rank = tuple(sorted(places, key=pat.__getitem__))
     leaf = n - 1 if masked else n  # the depth at which the walk yields
 
-    def walk() -> Iterator[Permutation]:
+    def walk() -> Iterator[tuple[Permutation, PermStats]]:
         prefix: list[int] = []
         full = free = (2 << n) - 2
         banned = [0] * (n + 1)
         tried = [0] * (n + 1)
+        sums = [(0, 0, 0, 0)] * (n + 1)
+        new = tuple.__new__  # builds PermStats without its keyword-parsing __new__
         while True:
             k = len(prefix)
             if k < leaf:
                 rest = free & -(2 << tried[k])
             else:
-                # a masked walk appends the one free value, unbanned
-                yield Permutation((*prefix, free.bit_length() - 1) if masked else tuple(prefix))
+                des, maj, imaj, inv = sums[k]
+                if masked:
+                    # append the one free value u, unbanned: every larger
+                    # value, u + 1 among them, came earlier
+                    u = free.bit_length() - 1
+                    if k and u < prefix[-1]:
+                        des += 1
+                        maj += k
+                    if u < n:
+                        imaj += u
+                    inv += n - u
+                    word = (*prefix, u)
+                else:
+                    word = tuple(prefix)
+                yield Permutation(word), new(PermStats, (des, n - des, maj, imaj, inv))
                 rest = 0
             while rest:
                 bit = rest & -rest
@@ -385,12 +408,35 @@ def enumerate_avoiders(
                 tried[k] = 0
                 free |= 1 << prefix.pop()
                 continue
+            des, maj, imaj, inv = sums[k]
+            if k and v < prefix[-1]:
+                des += 1
+                maj += k
+            above = (full ^ free) >> v  # bit j set iff v + j came earlier
+            if above & 2:
+                imaj += v
+            sums[k + 1] = (des, maj, imaj, inv + above.bit_count())
             tried[k] = v
             banned[k + 1] = ban
             prefix.append(v)
             free ^= bit
 
     return walk()
+
+
+def enumerate_avoiders(
+    n: int,
+    pattern,
+    max_n: int = DEFAULT_MAX_N,
+) -> Iterator[Permutation]:
+    """The permutations of ``avoiders_with_stats``: every pattern-avoiding
+    permutation of {1..n} in lex order.  A bad pattern or size raises here,
+    not at the first ``next()``.
+
+    >>> [str(p) for p in enumerate_avoiders(3, 231)]
+    ['[1,2,3]', '[1,3,2]', '[2,1,3]', '[3,1,2]', '[3,2,1]']
+    """
+    return (p for p, _ in avoiders_with_stats(n, pattern, max_n))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import json
 
-from .dyck import DyckPath, enumerate_dyck, path_stats
+from .dyck import DyckPath, _json_fields, enumerate_dyck, path_stats, paths_with_stats
 from .errors import NegativeExponent, NoAssignment
 from .permutations import (
     DEFAULT_MAX_N,
@@ -49,8 +49,8 @@ from .permutations import (
     _check_size,
     _Frozen,
     _pattern_word,
-    enumerate_avoiders,
-    perm_stats,
+    avoiders_with_stats,
+    perm_stats,  # the oracle of the carried sums; bench/test_bench.py reads this binding
 )
 
 Exponents = tuple[int, int, int]  # (e_a, e_q, e_t)
@@ -217,10 +217,19 @@ class MultiPoly(_Frozen):
 
     @classmethod
     def from_json(cls, text: str) -> "MultiPoly":
-        data = json.loads(text)
-        return cls(
-            {(t["a"], t["q"], t["t"]): t["coef"] for t in data["terms"]}
-        )
+        (terms,) = _json_fields(json.loads(text), "polynomial", ("terms",), ("terms",))
+        poly: dict = {}
+        for term in terms:
+            a, q, t, coef = _json_fields(term, "polynomial term", ("a", "q", "t", "coef"))
+            key = (a, q, t)
+            # JSON gives ints and bools, or other types __init__ would reject;
+            # some of those (arrays, objects) cannot even be dict keys
+            if not all(isinstance(x, int) for x in (*key, coef)):
+                raise ValueError(f"exponents and coefficients must be integers: {key}: {coef!r}")
+            if key in poly:
+                raise ValueError(f"polynomial has two terms with exponents {key}")
+            poly[key] = coef
+        return cls(poly)
 
 
 #: The three variables, for building polynomials in code and tests.
@@ -280,13 +289,14 @@ def avoider_poly(
     max_n: int = DEFAULT_MAX_N,
 ) -> MultiPoly:
     """Oracle: the sum over the pattern-avoiders w of size n of the monomial
-    with exponents key(perm_stats(w)).
+    with exponents key(perm_stats(w)), read from the statistics that
+    ``avoiders_with_stats`` carries.
 
     >>> str(avoider_poly(3, 231, lambda s: (s.des, s.maj, s.imaj)))
     'a^2*q^3*t^3 + a*q^2*t^2 + a*q*t^2 + a*q*t + 1'
     """
-    stats = map(perm_stats, enumerate_avoiders(n, pattern, max_n=max_n))
-    return MultiPoly(Counter(map(key, stats)))
+    rows = avoiders_with_stats(n, pattern, max_n=max_n)
+    return MultiPoly(Counter(key(s) for _, s in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -590,19 +600,18 @@ def _diagonals(n: int, max_n: int) -> tuple[list[DyckPath], list[tuple[list, lis
     its paths as (maj1, path) sorted stably by maj1 with the ascending alphas
     of its cat_qt(n) monomial copies.  Unequal counts raise NoAssignment."""
     shift = comb(n, 2)
-    paths = list(enumerate_dyck(n, max_n=max_n))  # the ceiling applies before cat_qt runs
+    rows = list(paths_with_stats(n, max_n=max_n))  # the ceiling applies before cat_qt runs
     alphas: defaultdict[int, list[int]] = defaultdict(list)
     for (_, alpha, beta), c in reversed(cat_qt(n).terms()):
         alphas[alpha - beta + shift] += [alpha] * c
     members: defaultdict[int, list[tuple[int, DyckPath]]] = defaultdict(list)
-    for D in paths:
-        s = path_stats(D)
+    for D, s in rows:
         members[s.maj].append((s.maj1, D))
     for d in sorted(members.keys() | alphas.keys()):
         if len(members[d]) != len(alphas[d]):
             raise NoAssignment(f"n={n}: diagonal maj={d} holds {len(members[d])} paths"
                                f" and {len(alphas[d])} target monomials")
-    return paths, [(sorted(members[d], key=itemgetter(0)), alphas[d]) for d in members]
+    return [D for D, _ in rows], [(sorted(members[d], key=itemgetter(0)), alphas[d]) for d in members]
 
 
 def _arrangements(members: list[tuple[int, DyckPath]], alphas: list[int]) -> list[dict[DyckPath, int]]:

@@ -123,6 +123,12 @@ class TestHeights:
         assert heights(Permutation((1, 2, 3))) == (2, 1, 0)
         assert heights(Permutation((3, 2, 1))) == (0, 0, 0)
 
+    def test_matches_definition_on_all_of_s_n(self):
+        for n in range(1, 9):
+            for p in all_perms(n):
+                w = p.word
+                assert heights(p) == tuple(sum(1 for x in w[i + 1:] if x > w[i]) for i in range(n))
+
     def test_drop_positions_are_ascents(self):
         for n in range(1, 7):
             for p in all_perms(n):

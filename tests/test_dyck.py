@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import re
 
 import pytest
 
@@ -7,6 +9,7 @@ from catbij import (
     DyckPath,
     NonBinaryCharacter,
     PathStats,
+    PathSums,
     PrefixViolation,
     UnbalancedCounts,
     ValleySet,
@@ -16,6 +19,7 @@ from catbij import (
     from_valleys,
     parse_path,
     path_stats,
+    paths_with_stats,
     reflect,
     valley_complement,
     valleys,
@@ -206,6 +210,18 @@ class TestValleys:
             ValleySet.from_json(text)
         assert bad in str(info.value)
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"n": 3}', "valley set lacks the field 'xs'"),
+        ('{"n": 3, "xs": []}', "valley set lacks the field 'ys'"),
+        ('{"xs": [], "ys": []}', "valley set lacks the field 'n'"),
+        ("[3, [], []]", "valley set must be a JSON object, got list"),
+        ('{"n": 3, "xs": 1, "ys": [2]}', "valley set field 'xs' must be an array, got int"),
+        ('{"n": 3, "xs": [1], "ys": "2"}', "valley set field 'ys' must be an array, got str"),
+    ])
+    def test_from_json_rejects_wrong_shapes(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ValleySet.from_json(text)
+
     def test_bools_are_stored_as_ints(self):
         v = ValleySet.from_json('{"n": 3, "xs": [true], "ys": [2]}')
         assert v == ValleySet(3, (1,), (2,))
@@ -290,3 +306,20 @@ class TestEnumeration:
         with pytest.raises(CeilingExceeded):
             enumerate_dyck(13)
         assert next(enumerate_dyck(13, max_n=13)).n == 13
+
+    def test_carried_sums_are_path_stats_and_area(self):
+        for n in range(1, 11):
+            rows = list(paths_with_stats(n))
+            assert [D for D, _ in rows] == list(enumerate_dyck(n))
+            for D, sums in rows:
+                s = path_stats(D)
+                assert sums == PathSums(s.maj, s.maj0, s.maj1, area(D))
+                assert type(sums) is PathSums
+
+    @pytest.mark.parametrize("stream", [enumerate_dyck, paths_with_stats])
+    @pytest.mark.parametrize("n,error", [(0, ValueError), (13, CeilingExceeded)])
+    def test_bad_size_raises_at_the_call(self, stream, n, error):
+        # before the first next(), yet the stream is a generator
+        with pytest.raises(error):
+            stream(n)
+        assert inspect.isgenerator(stream(3))

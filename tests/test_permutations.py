@@ -1,4 +1,5 @@
 import copy
+import inspect
 import itertools
 import pickle
 import re
@@ -14,12 +15,14 @@ from catbij import (
     KdResult,
     MultiPoly,
     PathStats,
+    PathSums,
     PermStats,
     Permutation,
     StandardTableau,
     TruncatedSeries,
     ValleySet,
     avoider_poly,
+    avoiders_with_stats,
     avoids,
     contains,
     contains_naive,
@@ -288,6 +291,26 @@ class TestEnumeration:
         words = [p.word for p in enumerate_avoiders(6, 231)]
         assert words == sorted(set(words))
 
+    @pytest.mark.parametrize("pattern", [123, 132, 213, 231, 312, 321, 2413, 1, 12, 21])
+    def test_carried_stats_are_perm_stats(self, pattern):
+        # length 3 takes the masked walk, whose leaf appends the forced last
+        # value (at n = 1 with no value before it); the rest the unmasked one
+        top = 9 if 100 < pattern < 1000 else 7
+        for n in range(1, top + 1):
+            rows = list(avoiders_with_stats(n, pattern))
+            assert [p for p, _ in rows] == list(enumerate_avoiders(n, pattern))
+            assert all(type(s) is PermStats and s == perm_stats(p) for p, s in rows)
+
+    @pytest.mark.parametrize("stream", [enumerate_avoiders, avoiders_with_stats])
+    @pytest.mark.parametrize("n,pattern,error", [
+        (0, 231, ValueError), (13, 231, CeilingExceeded), (3, "x", ValueError), (3, 11, ValueError),
+    ])
+    def test_bad_input_raises_at_the_call(self, stream, n, pattern, error):
+        # before the first next(), yet the stream is a generator
+        with pytest.raises(error):
+            stream(n, pattern)
+        assert inspect.isgenerator(stream(3, 231))
+
     def test_ceiling(self):
         with pytest.raises(CeilingExceeded):
             enumerate_avoiders(13, 231)
@@ -333,6 +356,7 @@ class TestRecords:
          "DescentData(des=frozenset({1}), asc=frozenset({2}), ides=frozenset(), iasc=frozenset({2}))"),
         (PathStats(frozenset({2}), 2, 1, 1), dict(des=frozenset({2}), maj=2, maj0=1, maj1=1),
          "PathStats(des=frozenset({2}), maj=2, maj0=1, maj1=1)"),
+        (PathSums(2, 1, 1, 3), dict(maj=2, maj0=1, maj1=1, area=3), "PathSums(maj=2, maj0=1, maj1=1, area=3)"),
         (KdResult(3, (), True), dict(n=3, assignments=(), exhaustive=True),
          "KdResult(n=3, assignments=(), exhaustive=True)"),
         (Check("c", False, "counterexample: x"), dict(name="c", passed=False, detail="counterexample: x"),

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -87,6 +89,23 @@ class TestMultiPoly:
         with pytest.raises(ValueError, match="must be integers") as info:
             MultiPoly.from_json(f'{{"terms": [{{{term}}}]}}')
         assert bad in str(info.value)
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"terms": [{"a": 1}]}', "polynomial term lacks the field 'q'"),
+        ('{"terms": [{"a": 0, "q": 0, "t": 0}]}', "polynomial term lacks the field 'coef'"),
+        ('{"poly": []}', "polynomial lacks the field 'terms'"),
+        ("[1]", "polynomial must be a JSON object, got list"),
+        ('{"terms": 3}', "polynomial field 'terms' must be an array, got int"),
+        ('{"terms": [[0, 0, 0, 1]]}', "polynomial term must be a JSON object, got list"),
+        ('{"terms": [{"a": [1], "q": 0, "t": 0, "coef": 1}]}', "must be integers: ([1], 0, 0): 1"),
+        ('{"terms": [{"a": 0, "q": 0, "t": 0, "coef": {}}]}', "must be integers: (0, 0, 0): {}"),
+        ('{"terms": [{"a": 0, "q": 1, "t": 0, "coef": 1}, {"a": 0, "q": true, "t": 0, "coef": 2}]}',
+         "polynomial has two terms with exponents (0, True, 0)"),
+        ("{", "Expecting property name"),
+    ])
+    def test_from_json_rejects_wrong_shapes(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MultiPoly.from_json(text)
 
     def test_bools_are_stored_as_ints(self):
         p = MultiPoly({(True, False, 0): True})
@@ -230,8 +249,13 @@ class TestPolynomialZoo:
         def no_stream(*args, **kwargs):
             raise AssertionError("a closed route enumerated")
 
-        monkeypatch.setattr(polynomials, "enumerate_dyck", no_stream)
-        monkeypatch.setattr(polynomials, "enumerate_avoiders", no_stream)
+        # every stream name the module binds, plain or with statistics
+        streams = [name for name in ("enumerate_dyck", "paths_with_stats",
+                                     "enumerate_avoiders", "avoiders_with_stats")
+                   if hasattr(polynomials, name)]
+        assert {"enumerate_dyck", "avoiders_with_stats"} <= set(streams)
+        for name in streams:
+            monkeypatch.setattr(polynomials, name, no_stream)
         n = 14  # above the default ceiling 12, which guards enumeration only
         a, cat = a_poly(n), cat_qt(n)
         assert qt_swap(a) == a

@@ -16,8 +16,6 @@ diagnostics to stderr; identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import os
 import sys
@@ -66,9 +64,10 @@ def _path_row(D: dyck.DyckPath) -> tuple[int, ...]:
     return (s.maj, s.maj0, s.maj1, dyck.area(D), dyck.bounce(D))
 
 
-def _stats_text(fields: tuple[str, ...], row: tuple[int, ...]) -> str:
-    """``k=v`` pairs joined by spaces, e.g. ``des=1 maj=2 imaj=3``."""
-    return " ".join(f"{k}={v}" for k, v in zip(fields, row))
+def _pairs(fields: tuple[str, ...]) -> str:
+    """The template of ``k=v`` pairs joined by spaces, e.g.
+    ``des=%d maj=%d imaj=%d``: the statistics of ``map`` and of a lines row."""
+    return " ".join(f"{k}=%d" for k in fields)
 
 
 def _cmd_map(args) -> int:
@@ -85,9 +84,9 @@ def _cmd_map(args) -> int:
     image = func(source)
     print(image)
     if isinstance(image, dyck.DyckPath):
-        print(_stats_text(_PATH_FIELDS, _path_row(image)))
+        print(_pairs(_PATH_FIELDS) % _path_row(image))
     else:
-        print(_stats_text(_PERM_FIELDS[:3], _perm_row(image)))
+        print(_pairs(_PERM_FIELDS[:3]) % _perm_row(image)[:3])
     return EXIT_OK
 
 
@@ -135,7 +134,8 @@ def _cmd_enumerate(args) -> int:
             (str(D), *sums, dyck.bounce(D))
             for D, sums in dyck.paths_with_stats(args.n, max_n=args.max_n)
         )
-        header = ("word", *_PATH_FIELDS)
+        fields = _PATH_FIELDS
+        csv_word = "%s"
     elif kind.startswith("avoiders:"):
         pattern = kind.split(":", 1)[1]
         rows = (
@@ -143,36 +143,32 @@ def _cmd_enumerate(args) -> int:
             for p, (des, _, maj, imaj, inv)
             in permutations.avoiders_with_stats(args.n, pattern, max_n=args.max_n)
         )
-        header = ("word", *_PERM_FIELDS)
+        fields = _PERM_FIELDS
+        # csv.writer quotes only a field with a comma, a quote or a line
+        # break in it: a path word is 0s and 1s, and a permutation word
+        # such as [2,1] has commas from n = 2 on ([1] has none)
+        csv_word = '"%s"' if args.n > 1 else "%s"
     else:
         print(f"unknown kind {kind!r}; use dyck or avoiders:<pattern>", file=sys.stderr)
         return EXIT_PARSE
 
-    write = sys.stdout.write
-    if args.format == "lines":
-        # the bytes of f"{word}  {_stats_text(header[1:], stats)}\n"
-        line = "%s  " + " ".join(f"{k}=%d" for k in header[1:]) + "\n"
-        _write_blocks(map(line.__mod__, rows))
-    elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        blocks = iter(lambda: list(itertools.islice(rows, _BLOCK_ROWS)), [])
-        for block in itertools.chain([[header]], blocks):
-            writer.writerows(block)
-            write(buffer.getvalue())
-            buffer.seek(0)
-            buffer.truncate()
-    else:
-        # the bytes of json.dumps(list_of_rows); a word is digits, brackets
-        # and commas, which json.dumps quotes without escapes
-        item = '{"word": "%s", ' + ", ".join(f'"{k}": %d' for k in header[1:]) + "}"
-        write("[")
-        _write_blocks(map(item.__mod__, rows), ", ")
-        write("]\n")
+    # (head, row template, separator, tail) of each format; the CSV and JSON
+    # rows are the bytes of csv.writer and json.dumps, whose quoting needs
+    # no escapes for these words: digits, brackets and commas
+    head, item, sep, tail = {
+        "lines": ("", "%s  " + _pairs(fields) + "\n", "", ""),
+        "csv": (",".join(("word", *fields)) + "\n", csv_word + ",%d" * len(fields) + "\n", "", ""),
+        "json": ("[", '{"word": "%s", ' + ", ".join(f'"{k}": %d' for k in fields) + "}", ", ", "]\n"),
+    }[args.format]
+    if head:
+        sys.stdout.write(head)
+    _write_blocks(map(item.__mod__, rows), sep)
+    if tail:
+        sys.stdout.write(tail)
     return EXIT_OK
 
 
-def _write_blocks(texts: Iterator[str], sep: str = "") -> None:
+def _write_blocks(texts: Iterator[str], sep: str) -> None:
     """Write the nonempty texts to stdout joined by sep, _BLOCK_ROWS of them
     per write."""
     write = sys.stdout.write

@@ -117,9 +117,6 @@ class MultiPoly(_Frozen):
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, a: int = 0, q: int = 0, t: int = 0) -> int:
-        return self._terms.get((a, q, t), 0)
-
     def evaluate(self, a: int = 1, q: int = 1, t: int = 1) -> int:
         return sum(
             c * a**ea * q**eq * t**et for (ea, eq, et), c in self._terms.items()
@@ -156,14 +153,6 @@ class MultiPoly(_Frozen):
         return MultiPoly._of(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, power: int) -> "MultiPoly":
-        if power < 0:
-            raise ValueError("negative powers are not defined")
-        result = MultiPoly.one()
-        for _ in range(power):
-            result = result * self
-        return result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):

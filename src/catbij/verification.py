@@ -91,6 +91,10 @@ def _avoiders(pattern, max_n: int) -> Callable[[int], Iterator[Permutation]]:
     return lambda n: permutations.enumerate_avoiders(n, pattern, max_n=max_n)
 
 
+#: the last n at which a check ranges over all of S_n (5,040 permutations)
+_ALL_PERMS_MAX_N = 7
+
+
 def _all_perms(n: int) -> Iterator[Permutation]:
     return map(Permutation, itertools.permutations(range(1, n + 1)))
 
@@ -219,7 +223,7 @@ def suite_lemmas(n_max: int) -> list[Check]:
 
 def suite_kappa(n_max: int) -> list[Check]:
     avoiders = _avoiders((1, 3, 2), n_max)
-    heights_bar = min(n_max, 7)  # the height checks range over all of S_n
+    heights_bar = min(n_max, _ALL_PERMS_MAX_N)
     descent_data = _memo(permutations.descent_data)
     heights = _memo(bijections.heights)
 
@@ -360,7 +364,7 @@ def suite_tristat(n_max: int) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 def suite_rsk_j(n_max: int) -> list[Check]:
-    perms_bar = min(n_max, 7)  # the RSK checks range over all of S_n
+    perms_bar = min(n_max, _ALL_PERMS_MAX_N)
     rsk = _memo(tableaux.rsk)
 
     def roundtrip(n: int, p: Permutation) -> bool:
@@ -415,7 +419,7 @@ def suite_rsk_j(n_max: int) -> list[Check]:
          _holds(descent_transport)),
         (f"321-avoidance iff at most two rows, n<={perms_bar}", perms_bar, _all_perms,
          _holds(avoidance_is_two_rows)),
-        ("evacuation: involution, shape, descent complement (tableaux)", min(n_max + 1, 8),
+        ("evacuation: involution, shape, descent complement (tableaux)", perms_bar + 1,
          tableaux.standard_tableaux, evacuation),
         (f"j: involution on 321-avoiders fixing Des, reversing iDes, n<={n_max}", n_max,
          _avoiders((3, 2, 1), n_max), j_props),

@@ -44,7 +44,6 @@ from catbij.cli import (
     _PERM_FIELDS,
     _path_row,
     _perm_row,
-    _stats_text,
     main,
 )
 from catbij.verification import Check, _run, run_suite
@@ -375,7 +374,8 @@ class TestEnumerate:
                          "area": area(D), "bounce": bounce(D)})
         assert out == json.dumps(rows) + "\n"
 
-    @pytest.mark.parametrize("kind", ["dyck", "avoiders:231", "avoiders:123", "avoiders:2413"])
+    @pytest.mark.parametrize(
+        "kind", ["dyck", "avoiders:231", "avoiders:123", "avoiders:2413", "avoiders:1", "avoiders:21"])
     def test_row_templates_match_formatting_oracle(self, monkeypatch, kind):
         # each format, written in blocks of 1, 2, 3 and the default rows,
         # against its rows formatted and written one at a time
@@ -392,7 +392,8 @@ class TestEnumerate:
             for row in (header, *rows):
                 writer.writerow(row)
             oracle = {
-                "lines": "".join(f"{row[0]}  {_stats_text(header[1:], row[1:])}\n" for row in rows),
+                "lines": "".join(row[0] + "  " + " ".join(f"{k}={v}" for k, v in zip(header[1:], row[1:])) + "\n"
+                                 for row in rows),
                 "json": json.dumps([dict(zip(header, row)) for row in rows]) + "\n",
                 "csv": table.getvalue(),
             }

@@ -131,8 +131,8 @@ class TestMultiPoly:
             with pytest.raises(NegativeExponent):
                 MultiPoly({key: 1})
 
-    def test_pow_and_evaluate(self):
-        p = (Q + T) ** 2
+    def test_product_and_evaluate(self):
+        p = (Q + T) * (Q + T)
         assert p == Q * Q + 2 * Q * T + T * T
         assert p.evaluate(q=2, t=3) == 25
 

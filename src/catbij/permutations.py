@@ -20,6 +20,7 @@ length and remains the oracle.
 from __future__ import annotations
 
 import itertools
+from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CeilingExceeded
@@ -51,7 +52,9 @@ class _Frozen:
     ``self.__post_init__()``, and it writes out its own ``__eq__`` (same
     class only) and ``__hash__`` (the hash of the field tuple).  This base
     refuses assignment and deletion, prints ``Type(field=value, ...)`` and
-    copies and pickles through the public constructor.
+    copies and pickles through the public constructor.  Every subclass
+    stores its integer fields as ints: a bool becomes 0 or 1, and any other
+    non-integer raises ValueError.
     """
 
     __slots__ = ()
@@ -86,7 +89,10 @@ class Permutation(_Frozen):
         self.__post_init__()
 
     def __post_init__(self):
-        word = tuple(self.word)
+        try:
+            word = tuple(map(index, self.word))
+        except TypeError:
+            raise ValueError(f"permutation entries must be integers: {self.word!r}") from None
         object.__setattr__(self, "word", word)
         n = len(word)
         if n < 1:

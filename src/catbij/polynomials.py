@@ -478,6 +478,10 @@ class TruncatedSeries(_Frozen):
         self.__post_init__()
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "order", index(self.order))
+        except TypeError:
+            raise ValueError(f"series order must be an integer: {self.order!r}") from None
         if self.order < 0:
             raise ValueError("order must be nonnegative")
         if len(self.coeffs) != self.order + 1:

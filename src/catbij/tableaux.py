@@ -4,8 +4,8 @@ involution on 321-avoiding permutations.
 Row insertion (``rsk``) sends a permutation to a pair (P, Q) of standard
 tableaux of equal shape; descents transport as Des(w) = Des(Q) and
 iDes(w) = Des(P), and w avoids 321 exactly when the shape has at most two
-rows.  ``evacuation`` is the shape-preserving involution on standard
-tableaux that complement-reverses the descent set; conjugating the P-side
+rows.  ``evacuation`` (shape-preserving, complement-reversing the descent
+set) inserts a reverse-complemented reading word; conjugating the P-side
 by it yields ``j_involution`` on 321-avoiders.
 
 The tableaux that ``rsk``, ``evacuation`` and ``standard_tableaux`` build are
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
+from operator import index
 from typing import Iterator
 
 from .errors import NotAvoiding321
@@ -42,7 +43,10 @@ class StandardTableau(_Frozen):
         return tableau
 
     def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
+        try:
+            rows = tuple(tuple(map(index, r)) for r in self.rows)
+        except TypeError:
+            raise ValueError(f"tableau entries must be integers: {self.rows!r}") from None
         object.__setattr__(self, "rows", rows)
         if not rows or any(not r for r in rows):
             raise ValueError("tableau rows must be nonempty")
@@ -148,38 +152,19 @@ def tableau_descents(T: StandardTableau) -> frozenset[int]:
 
 
 def evacuation(T: StandardTableau) -> StandardTableau:
-    """Schuetzenberger evacuation: repeatedly delete the minimum, slide the
-    hole to a corner by jeu de taquin, and record n, n-1, ... at the vacated
-    corners.  A shape-preserving involution with
+    """Schuetzenberger evacuation, a shape-preserving involution with
     Des(evacuation(T)) = {n - i : i in Des(T)}.
 
-    >>> evacuation(parse_tableau("[[1,2],[3,4]]")).rows
-    ((1, 2), (3, 4))
+    T's row reading word (rows from the bottom up, each left to right)
+    inserts to T.  By Schuetzenberger's theorem, if w inserts to (P, Q),
+    its reverse-complement inserts to (evac P, evac Q) ("Quelques remarques
+    sur une construction de Schensted", Math. Scand. 12, 1963).
+
+    >>> evacuation(parse_tableau("[[1,2],[3]]")).rows
+    ((1, 3), (2,))
     """
-    rows = [list(r) for r in T.rows]
-    out: list[list[int]] = [[0] * len(r) for r in T.rows]
-    for k in range(T.n, 0, -1):
-        r = c = 0
-        while True:
-            right = rows[r][c + 1] if c + 1 < len(rows[r]) else None
-            below = (
-                rows[r + 1][c]
-                if r + 1 < len(rows) and c < len(rows[r + 1])
-                else None
-            )
-            if right is None and below is None:
-                break
-            if below is None or (right is not None and right < below):
-                rows[r][c] = right
-                c += 1
-            else:
-                rows[r][c] = below
-                r += 1
-        rows[r].pop()
-        if not rows[r]:
-            rows.pop()
-        out[r][c] = k
-    return StandardTableau._of(out)
+    n = T.n
+    return rsk(Permutation(tuple(n + 1 - v for row in T.rows for v in reversed(row))))[0]
 
 
 def j_involution(p: Permutation) -> Permutation:

@@ -704,18 +704,38 @@ class TestVerificationSuites:
         assert grouped == run_suite("all", 5)
 
     def test_rsk_rows_run_rsk_once_per_permutation(self, monkeypatch):
-        calls = Counter()
+        # evacuation inserts a reading word; those insertions are counted
+        # apart, by the outermost caller: the evacuation row or j
+        direct, evacuating, callers = Counter(), Counter(), []
         rsk = tableaux.rsk
 
         def counting(p):
-            calls[p.word] += 1
+            if "evacuation" in callers:
+                evacuating[callers[0]] += 1
+            else:
+                direct[p.word] += 1
             return rsk(p)
 
+        def entered(name, f):
+            def wrapped(x):
+                callers.append(name)
+                try:
+                    return f(x)
+                finally:
+                    callers.pop()
+            return wrapped
+
         monkeypatch.setattr(tableaux, "rsk", counting)
+        monkeypatch.setattr(tableaux, "evacuation", entered("evacuation", tableaux.evacuation))
+        monkeypatch.setattr(tableaux, "j_involution", entered("j", tableaux.j_involution))
         assert all(c.passed for c in run_suite("rsk-j", 5))
         words = _perm_words(5)
         # the three RSK rows share one rsk(w); j maps each 321-avoider and its image
-        assert calls == Counter(words) + Counter({w: 2 for w in words if avoids(w, 321)})
+        assert direct == Counter(words) + Counter({w: 2 for w in words if avoids(w, 321)})
+        # the evacuation row evacuates the 119 tableaux with n <= 6 and their
+        # images; j evacuates the P-tableaux of the 64 321-avoiders with n <= 5
+        # and of their images
+        assert evacuating == Counter({"evacuation": 2 * 119, "j": 2 * 64})
 
     def test_j_image_leaving_the_class_is_reported(self, monkeypatch):
         # a j that sends [1,2,3] to [3,2,1]; the real j rejects the image
@@ -725,6 +745,19 @@ class TestVerificationSuites:
         *_, check = run_suite("rsk-j", 4)
         assert check == Check("j: involution on 321-avoiders fixing Des, reversing iDes, n<=4",
                               False, "counterexample: image leaves the class: [1,2,3]")
+
+    @pytest.mark.parametrize("key,stand_in,failing", [
+        ((2, 3, 1), (3, 1, 2), ["231-plain equals 312-complemented"]),
+        ((3, 1, 2), (2, 3, 1), ["231-plain equals 312-complemented"]),
+        ((1, 3, 2), (2, 1, 3), ["132-plain equals 213-complemented", "132/213 identity survives a=1"]),
+        ((2, 1, 3), (1, 3, 2), ["132-plain equals 213-complemented"]),
+    ], ids=["231", "312", "132", "213"])
+    def test_tristat_rows_check_every_valley_term_map(self, monkeypatch, key, stand_in, failing):
+        # one class given another's term map; the enumerated sides stay
+        # right, so its rows fail at n = 3, the first n where the maps differ
+        monkeypatch.setitem(polynomials._VALLEY_KEYS, key, polynomials._VALLEY_KEYS[stand_in])
+        assert [c for c in run_suite("tristat", 6) if not c.passed] == [
+            Check(f"{name}, n<=6", False, "counterexample: n=3") for name in failing]
 
     def test_kappa_factorization_runs_heights_once_per_permutation(self, monkeypatch):
         calls = Counter()

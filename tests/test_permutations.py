@@ -420,6 +420,27 @@ class TestValueTypes:
         with pytest.raises(AttributeError):
             value.extra = 1
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: Permutation((1.0, 2.0)), "permutation entries must be integers: (1.0, 2.0)"),
+        (lambda: Permutation(("1",)), "permutation entries must be integers: ('1',)"),
+        (lambda: StandardTableau(((1.0, 2.0),)), "tableau entries must be integers: ((1.0, 2.0),)"),
+        (lambda: TruncatedSeries(1.0, (MultiPoly.one(), MultiPoly.one())),
+         "series order must be an integer: 1.0"),
+    ], ids=["Permutation-float", "Permutation-str", "StandardTableau", "TruncatedSeries"])
+    def test_non_integers_rejected(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
+    def test_bools_are_stored_as_ints(self):
+        p = Permutation((2, True))
+        assert p == Permutation((2, 1)) and str(p) == "[2,1]"
+        assert [type(v) for v in p.word] == [int, int]
+        assert str(Permutation((True,))) == "[1]"
+        T = StandardTableau(((True, 2),))
+        assert T == StandardTableau(((1, 2),)) and type(T.rows[0][0]) is int
+        series = TruncatedSeries(True, (MultiPoly.one(), MultiPoly.one()))
+        assert type(series.order) is int and series.order == 1
+
     def test_multipoly_refuses_assignment_and_deletion(self):
         p = MultiPoly.one()
         with pytest.raises(AttributeError):

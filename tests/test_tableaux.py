@@ -20,7 +20,7 @@ from catbij.verification import run_suite
 from conftest import all_perms
 
 # number of standard Young tableaux with n cells (= involutions of S_n)
-INVOLUTION_COUNTS = [1, 1, 2, 4, 10, 26, 76, 232, 764]
+INVOLUTION_COUNTS = [1, 1, 2, 4, 10, 26, 76, 232, 764, 2620]
 
 
 class TestStandardTableau:
@@ -135,7 +135,42 @@ class TestDescents:
         assert tableau_descents(parse_tableau("[[1,3],[2,4]]")) == {1, 3}
 
 
+def jeu_de_taquin_evacuation(T):
+    """Oracle: repeatedly delete the minimum, slide the hole to a corner by
+    jeu de taquin, and record n, n-1, ... at the vacated corners."""
+    rows = [list(r) for r in T.rows]
+    out: list[list[int]] = [[0] * len(r) for r in T.rows]
+    for k in range(T.n, 0, -1):
+        r = c = 0
+        while True:
+            right = rows[r][c + 1] if c + 1 < len(rows[r]) else None
+            below = (
+                rows[r + 1][c]
+                if r + 1 < len(rows) and c < len(rows[r + 1])
+                else None
+            )
+            if right is None and below is None:
+                break
+            if below is None or (right is not None and right < below):
+                rows[r][c] = right
+                c += 1
+            else:
+                rows[r][c] = below
+                r += 1
+        rows[r].pop()
+        if not rows[r]:
+            rows.pop()
+        out[r][c] = k
+    return StandardTableau(tuple(map(tuple, out)))
+
+
 class TestEvacuation:
+    def test_equals_the_jeu_de_taquin_oracle(self):
+        tableaux = [T for n in range(1, 10) for T in standard_tableaux(n)]
+        assert len(tableaux) == sum(INVOLUTION_COUNTS[1:10]) == 3735
+        for T in tableaux:
+            assert evacuation(T) == jeu_de_taquin_evacuation(T)
+
     def test_single_row_and_column_fixed(self):
         row = parse_tableau("[[1,2,3,4]]")
         col = StandardTableau(((1,), (2,), (3,)))

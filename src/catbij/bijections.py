@@ -20,7 +20,7 @@ typed error from ``catbij.errors`` when it does not.
 """
 from __future__ import annotations
 
-from .dyck import DyckPath, ValleySet, from_valleys, reflect, valley_complement, valleys
+from .dyck import DyckPath, _valley_steps, reflect, valley_complement, valleys
 from .errors import NotAvoiding132, NotAvoiding231, NotAvoiding312
 from .permutations import (
     Permutation,
@@ -40,9 +40,7 @@ def phi(p: Permutation) -> DyckPath:
     """
     _require_avoids(p, NotAvoiding231)
     d = descent_data(p)
-    return from_valleys(
-        ValleySet(n=p.n, xs=tuple(sorted(d.des)), ys=tuple(sorted(d.ides)))
-    )
+    return DyckPath(_valley_steps(p.n, sorted(d.des), sorted(d.ides)))
 
 
 def phi_inv(D: DyckPath) -> Permutation:

@@ -13,7 +13,7 @@ determine the path (``valleys`` / ``from_valleys`` below).
 from __future__ import annotations
 
 import json
-from operator import index
+from operator import ge, gt, index
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -157,11 +157,11 @@ class ValleySet(_Frozen):
         if len(xs) != len(ys):
             raise ValueError(f"|xs| != |ys|: {xs} vs {ys}")
         for seq in (xs, ys):
-            if any(not 1 <= v <= n - 1 for v in seq):
+            if seq and (min(seq) < 1 or max(seq) > n - 1):
                 raise ValueError(f"coordinates must lie in 1..{n - 1}: {seq}")
-            if any(a >= b for a, b in zip(seq, seq[1:])):
+            if any(map(ge, seq, seq[1:])):
                 raise ValueError(f"coordinates must strictly increase: {seq}")
-        if any(x > y for x, y in zip(xs, ys)):
+        if any(map(gt, xs, ys)):
             raise ValueError(f"need xs[l] <= ys[l] elementwise (path above diagonal): {xs} vs {ys}")
 
     def __eq__(self, other):
@@ -216,20 +216,20 @@ def valleys(D: DyckPath) -> ValleySet:
     return ValleySet(n=D.n, xs=xs, ys=ys)
 
 
-def from_valleys(v: ValleySet) -> DyckPath:
-    """The unique path with the given valleys: alternate north runs of sizes
-    y_1, y_2-y_1, ..., n-y_k with east runs x_1, x_2-x_1, ..., n-x_k.
-    """
-    n = v.n
+def _valley_steps(n: int, xs, ys) -> tuple[int, ...]:
+    """North runs of sizes y_1, y_2-y_1, ..., n-y_k alternating with east runs x_1, ..., n-x_k."""
     steps: list[int] = []
     prev_x = prev_y = 0
-    for x, y in zip(v.xs, v.ys):
-        steps.extend([NORTH] * (y - prev_y))
-        steps.extend([EAST] * (x - prev_x))
+    for x, y in zip(xs, ys):
+        steps += [NORTH] * (y - prev_y) + [EAST] * (x - prev_x)
         prev_x, prev_y = x, y
-    steps.extend([NORTH] * (n - prev_y))
-    steps.extend([EAST] * (n - prev_x))
-    return DyckPath(tuple(steps))
+    steps += [NORTH] * (n - prev_y) + [EAST] * (n - prev_x)
+    return tuple(steps)
+
+
+def from_valleys(v: ValleySet) -> DyckPath:
+    """The unique path with the given valleys (see ``_valley_steps``)."""
+    return DyckPath(_valley_steps(v.n, v.xs, v.ys))
 
 
 def area(D: DyckPath) -> int:

@@ -23,7 +23,7 @@ import itertools
 from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import CeilingExceeded
+from .errors import CeilingExceeded, NotAvoiding132, NotAvoiding231, NotAvoiding312, NotAvoiding321
 
 #: Default ceiling for exhaustive enumeration (Cat_12 = 208012 objects).
 DEFAULT_MAX_N = 12
@@ -193,13 +193,19 @@ def descent_data(p: Permutation) -> DescentData:
     >>> sorted(d.des), sorted(d.ides)
     ([1, 2, 4, 5], [1, 3, 4, 5])
     """
-    n = p.n
-    des = _descents(p.word)
-    ides = _descents(_inverse_word(p.word))
-    full = frozenset(range(1, n))
-    asc = (full - des) | {n}
-    iasc = (full - ides) | {n}
-    return DescentData(des=des, asc=asc, ides=ides, iasc=iasc)
+    w = p.word
+    n = len(w)
+    where = [0] * (n + 1)  # where[v]: the position of value v
+    for i, v in enumerate(w, start=1):
+        where[v] = i
+    des, ides = [], []
+    for i in range(1, n):
+        if w[i - 1] > w[i]:
+            des.append(i)
+        if where[i] > where[i + 1]:  # i + 1 sits left of i
+            ides.append(i)
+    full = frozenset(range(1, n + 1))
+    return DescentData(frozenset(des), full.difference(des), frozenset(ides), full.difference(ides))
 
 
 def perm_stats(p: Permutation) -> PermStats:
@@ -230,6 +236,8 @@ def perm_stats(p: Permutation) -> PermStats:
 def _pattern_word(pattern) -> tuple[int, ...]:
     """The word of a pattern given as a Permutation, a sequence of values, or
     its digits as an int or a string: 231, "231" and (2, 3, 1) give (2, 3, 1)."""
+    if isinstance(pattern, Permutation):
+        return pattern.word
     word = pattern
     if isinstance(pattern, (int, str)):
         if not ((text := str(pattern)).isascii() and text.isdigit()):
@@ -325,9 +333,14 @@ def avoids(p: Permutation | Sequence[int], pattern) -> bool:
     return not contains(p, pattern)
 
 
+#: the pattern of each violation the maps raise, parsed once
+_VIOLATION_PATTERNS = {violation: Permutation(violation.pattern)
+                       for violation in (NotAvoiding132, NotAvoiding231, NotAvoiding312, NotAvoiding321)}
+
+
 def _require_avoids(p: Permutation, violation: type) -> None:
     """Raise violation(p.word) if p contains violation.pattern."""
-    if not avoids(p, violation.pattern):
+    if not avoids(p, _VIOLATION_PATTERNS[violation]):
         raise violation(p.word)
 
 

@@ -88,16 +88,11 @@ def parse_tableau(text: str) -> StandardTableau:
     return StandardTableau(tuple(tuple(r) for r in rows))
 
 
-def rsk(p: Permutation) -> tuple[StandardTableau, StandardTableau]:
-    """Row insertion: P by bumping, Q recording where each cell appeared.
-
-    >>> P, Q = rsk(Permutation((2, 4, 1, 3)))
-    >>> P.rows, Q.rows
-    (((1, 3), (2, 4)), ((1, 2), (3, 4)))
-    """
+def _insert(word) -> tuple[list[list[int]], list[list[int]]]:
+    """The rows of P and Q that row insertion of ``word`` builds."""
     prows: list[list[int]] = []
     qrows: list[list[int]] = []
-    for pos, value in enumerate(p.word, start=1):
+    for pos, value in enumerate(word, start=1):
         cur = value
         r = 0
         while True:
@@ -113,7 +108,17 @@ def rsk(p: Permutation) -> tuple[StandardTableau, StandardTableau]:
                 break
             cur, row[idx] = row[idx], cur
             r += 1
-    return StandardTableau._of(prows), StandardTableau._of(qrows)
+    return prows, qrows
+
+
+def rsk(p: Permutation) -> tuple[StandardTableau, StandardTableau]:
+    """Row insertion: P by bumping, Q recording where each cell appeared.
+
+    >>> P, Q = rsk(Permutation((2, 4, 1, 3)))
+    >>> P.rows, Q.rows
+    (((1, 3), (2, 4)), ((1, 2), (3, 4)))
+    """
+    return tuple(map(StandardTableau._of, _insert(p.word)))
 
 
 def inverse_rsk(P: StandardTableau, Q: StandardTableau) -> Permutation:
@@ -144,7 +149,7 @@ def inverse_rsk(P: StandardTableau, Q: StandardTableau) -> Permutation:
 
 def tableau_descents(T: StandardTableau) -> frozenset[int]:
     """Entries i whose successor i+1 sits in a strictly lower row."""
-    row_of = {}
+    row_of = [0] * (T.n + 1)  # row_of[v]: the row holding entry v
     for r, row in enumerate(T.rows):
         for v in row:
             row_of[v] = r
@@ -164,7 +169,7 @@ def evacuation(T: StandardTableau) -> StandardTableau:
     ((1, 3), (2,))
     """
     n = T.n
-    return rsk(Permutation(tuple(n + 1 - v for row in T.rows for v in reversed(row))))[0]
+    return StandardTableau._of(_insert(n + 1 - v for row in T.rows for v in reversed(row))[0])
 
 
 def j_involution(p: Permutation) -> Permutation:

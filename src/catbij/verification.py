@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from contextvars import ContextVar
 from math import comb
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
@@ -91,12 +92,22 @@ def _avoiders(pattern, max_n: int) -> Callable[[int], Iterator[Permutation]]:
     return lambda n: permutations.enumerate_avoiders(n, pattern, max_n=max_n)
 
 
+#: the length-3 patterns the rows name, parsed once
+_123, _132, _231, _312, _321 = map(Permutation, ((1, 2, 3), (1, 3, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1)))
+
 #: the last n at which a check ranges over all of S_n (5,040 permutations)
 _ALL_PERMS_MAX_N = 7
 
+#: S_n for each n walked so far, kept by ``run_suite`` for the length of its
+#: call: at most S_1..S_7, 5,913 permutations
+_perm_tables: ContextVar[dict[int, tuple[Permutation, ...]]] = ContextVar("_perm_tables")
+
 
 def _all_perms(n: int) -> Iterator[Permutation]:
-    return map(Permutation, itertools.permutations(range(1, n + 1)))
+    table = _perm_tables.get({})
+    if n not in table:
+        table[n] = tuple(map(Permutation, itertools.permutations(range(1, n + 1))))
+    return iter(table[n])
 
 
 def _catalan(n: int) -> int:
@@ -108,7 +119,7 @@ def _catalan(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def suite_phi(n_max: int) -> list[Check]:
-    avoiders = _avoiders((2, 3, 1), n_max)
+    avoiders = _avoiders(_231, n_max)
     stats = _memo(permutations.perm_stats)
 
     phi = _memo(bijections.phi)
@@ -156,7 +167,7 @@ def suite_phi(n_max: int) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 def suite_lemmas(n_max: int) -> list[Check]:
-    avoiders = _avoiders((2, 3, 1), n_max)
+    avoiders = _avoiders(_231, n_max)
     descent_data = _memo(permutations.descent_data)
 
     def ides_from_values(n: int, p: Permutation) -> bool:
@@ -177,7 +188,7 @@ def suite_lemmas(n_max: int) -> list[Check]:
     def witness_123() -> str | None:
         w = Permutation((2, 4, 1, 3))
         d = descent_data(w)
-        if permutations.avoids(w, (1, 2, 3)) and d.des == {2} and d.ides == {1, 3}:
+        if permutations.avoids(w, _123) and d.des == {2} and d.ides == {1, 3}:
             return None
         return f"witness broke: Des={sorted(d.des)}, iDes={sorted(d.ides)}"
 
@@ -222,7 +233,7 @@ def suite_lemmas(n_max: int) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 def suite_kappa(n_max: int) -> list[Check]:
-    avoiders = _avoiders((1, 3, 2), n_max)
+    avoiders = _avoiders(_132, n_max)
     heights_bar = min(n_max, _ALL_PERMS_MAX_N)
     descent_data = _memo(permutations.descent_data)
     heights = _memo(bijections.heights)
@@ -251,7 +262,7 @@ def suite_kappa(n_max: int) -> list[Check]:
 
     def height_criterion(n: int, p: Permutation) -> bool:
         hs = heights(p)
-        return all(b >= a - 1 for a, b in zip(hs, hs[1:])) == permutations.avoids(p, (1, 3, 2))
+        return all(b >= a - 1 for a, b in zip(hs, hs[1:])) == permutations.avoids(p, _132)
 
     return _run([
         (f"kappa equals reflect o complement o phi o reverse, n<={n_max}", n_max, avoiders,
@@ -282,9 +293,9 @@ def suite_inv_area(n_max: int) -> list[Check]:
 
     return _run([
         (f"inv(w) = area(complement(phi(w))) on 231-avoiders, n<={n_max}", n_max,
-         _avoiders((2, 3, 1), n_max), _holds(bridge)),
+         _avoiders(_231, n_max), _holds(bridge)),
         (f"area(beta(w)) = inv(w) on 312-avoiders, n<={n_max}", n_max,
-         _avoiders((3, 1, 2), n_max), _holds(beta_carries_inv)),
+         _avoiders(_312, n_max), _holds(beta_carries_inv)),
     ])
 
 
@@ -347,6 +358,7 @@ def suite_tristat(n_max: int) -> list[Check]:
     def gf(n: int, pattern: int, orientation: str = "plain") -> polynomials.MultiPoly:
         return polynomials.tristat_gf(n, pattern, orientation, max_n=n_max)
 
+    @functools.cache  # two rows compare with 213; the cache goes with the suite's run
     def enumerated(n: int, pattern: int) -> polynomials.MultiPoly:
         """The complemented form by enumeration: the oracle of both sides."""
         plain = polynomials.avoider_poly(n, pattern, lambda s: (s.des, s.maj, s.imaj), max_n=n_max)
@@ -380,7 +392,7 @@ def suite_rsk_j(n_max: int) -> list[Check]:
         return tableaux.tableau_descents(Q) == d.des and tableaux.tableau_descents(P) == d.ides
 
     def avoidance_is_two_rows(n: int, p: Permutation) -> bool:
-        return (len(rsk(p)[0].shape) <= 2) == permutations.avoids(p, (3, 2, 1))
+        return (len(rsk(p)[0].shape) <= 2) == permutations.avoids(p, _321)
 
     def standard(T: tableaux.StandardTableau) -> bool:
         """T passes the public constructor's checks; the stream and
@@ -426,7 +438,7 @@ def suite_rsk_j(n_max: int) -> list[Check]:
         ("evacuation: involution, shape, descent complement (tableaux)", perms_bar + 1,
          tableaux.standard_tableaux, evacuation),
         (f"j: involution on 321-avoiders fixing Des, reversing iDes, n<={n_max}", n_max,
-         _avoiders((3, 2, 1), n_max), j_props),
+         _avoiders(_321, n_max), j_props),
     ])
 
 
@@ -510,6 +522,10 @@ def run_suite(name: str, n_max: int | None = None, max_n: int = DEFAULT_MAX_N) -
             raise ValueError(f"size bar must be at least 1, got {bar}")
         if bar > max_n:
             raise CeilingExceeded(bar, max_n)
-    if name == "all":
-        return [check for suite in SUITES for check in run_suite(suite, n_max=n_max, max_n=max_n)]
-    return SUITES[name][0](bar)
+    token = _perm_tables.set(_perm_tables.get({}))  # "all" shares its table with each suite
+    try:
+        if name == "all":
+            return [check for suite in SUITES for check in run_suite(suite, n_max=n_max, max_n=max_n)]
+        return SUITES[name][0](bar)
+    finally:
+        _perm_tables.reset(token)

@@ -1,0 +1,114 @@
+"""The seeded-fault table: each row breaks one line of ``src/catbij`` and
+names the check that must catch the break.
+
+Run from anywhere, with only the standard library:
+
+    python tests/faults.py
+
+For each row the script copies ``src/`` to a temporary directory, replaces
+the row's line there, and runs the row's check against the copy.  A check
+is a tier-1 test id, run alone through pytest, or a ``catbij`` command such
+as ``verify rsk-j 7``, which passes when it exits 0.  Each check must pass
+on the unchanged ``src/`` and fail on the copy.  The script exits 1 when a
+check misses its fault, fails without one, or when a row's line no longer
+occurs exactly once in its file, so the table cannot rot silently.
+
+pytest collects only ``test_*.py``, so this file is not part of tier-1.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+#: a check that runs longer than this counts as failing
+TIMEOUT_S = 600
+
+
+class Fault(NamedTuple):
+    file: str  # relative to src/catbij
+    line: str  # the exact text of one source line, indentation included
+    replacement: str
+    check: str  # a test id under tests/, or the arguments of a catbij command
+
+
+FAULTS = [
+    # descent_data: the inverse descents shifted by one
+    Fault("permutations.py",
+          "        if where[i] > where[i + 1]:  # i + 1 sits left of i",
+          "        if where[i - 1] > where[i]:  # i + 1 sits left of i",
+          "tests/test_permutations.py::TestDescentData::test_matches_the_two_pass_oracle"),
+    # the step builder that phi and from_valleys share, with x and y swapped
+    Fault("dyck.py",
+          "        steps += [NORTH] * (y - prev_y) + [EAST] * (x - prev_x)",
+          "        steps += [NORTH] * (x - prev_x) + [EAST] * (y - prev_y)",
+          "tests/test_dyck.py::TestValleys::test_from_valleys_goldens"),
+    # ValleySet without its elementwise test
+    Fault("dyck.py",
+          "        if any(map(gt, xs, ys)):",
+          "        if False:",
+          "tests/test_dyck.py::TestValleys::test_invalid_valley_set_messages"),
+    # tableau_descents counts a successor in the same row
+    Fault("tableaux.py",
+          "    return frozenset(i for i in range(1, T.n) if row_of[i + 1] > row_of[i])",
+          "    return frozenset(i for i in range(1, T.n) if row_of[i + 1] >= row_of[i])",
+          "tests/test_tableaux.py::TestDescents::test_matches_the_dict_oracle"),
+    # evacuation inserts the complemented reading word without reversing it
+    Fault("tableaux.py",
+          "    return StandardTableau._of(_insert(n + 1 - v for row in T.rows for v in reversed(row))[0])",
+          "    return StandardTableau._of(_insert(n + 1 - v for row in T.rows for v in row)[0])",
+          "verify rsk-j 7"),
+]
+
+
+def passes(check: str, src: Path) -> bool:
+    """Whether ``check`` passes with the package imported from ``src``."""
+    if check.startswith("tests/"):
+        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", check]
+    else:
+        argv = [sys.executable, "-m", "catbij", *check.split()]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        done = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False
+    return done.returncode == 0
+
+
+def main() -> int:
+    problems = 0
+    clean: dict[str, bool] = {}
+    for fault in FAULTS:
+        where = f"{fault.file}: {fault.line.strip()}"
+        lines = (ROOT / "src" / "catbij" / fault.file).read_text().split("\n")
+        found = lines.count(fault.line)
+        if found != 1:
+            print(f"STALE   {where} (the line occurs {found} times)")
+            problems += 1
+            continue
+        if fault.check not in clean:
+            clean[fault.check] = passes(fault.check, ROOT / "src")
+        if not clean[fault.check]:
+            print(f"BROKEN  {fault.check} fails on the unchanged source")
+            problems += 1
+            continue
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "src"
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+            lines[lines.index(fault.line)] = fault.replacement
+            (src / "catbij" / fault.file).write_text("\n".join(lines))
+            caught = not passes(fault.check, src)
+        print(f"{'caught' if caught else 'MISSED'}  {where} -> {fault.check}")
+        problems += not caught
+    print(f"{len(FAULTS) - problems}/{len(FAULTS)} faults caught")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,12 +6,14 @@ from catbij import (
     NotAvoiding312,
     NotAvoiding321,
     Permutation,
+    ValleySet,
     area,
     avoids,
     beta,
     descent_data,
     enumerate_avoiders,
     enumerate_dyck,
+    from_valleys,
     heights,
     identity,
     inverse,
@@ -57,6 +59,13 @@ class TestPhi:
                 d = descent_data(p)
                 v = valleys(phi(p))
                 assert set(v.xs) == d.des and set(v.ys) == d.ides
+
+    def test_matches_the_valley_set_route(self):
+        # phi builds its steps from (Des, iDes) without a ValleySet
+        for n in range(1, 10):
+            for p in enumerate_avoiders(n, 231):
+                d = descent_data(p)
+                assert phi(p) == from_valleys(ValleySet(n, tuple(sorted(d.des)), tuple(sorted(d.ides))))
 
     def test_bijection_counts_and_roundtrips(self):
         for n in range(1, 8):

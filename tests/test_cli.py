@@ -704,17 +704,20 @@ class TestVerificationSuites:
         assert grouped == run_suite("all", 5)
 
     def test_rsk_rows_run_rsk_once_per_permutation(self, monkeypatch):
-        # evacuation inserts a reading word; those insertions are counted
-        # apart, by the outermost caller: the evacuation row or j
+        # evacuation inserts a reading word through rsk's loop, _insert;
+        # those insertions are counted apart, by the outermost caller: the
+        # evacuation row or j
         direct, evacuating, callers = Counter(), Counter(), []
-        rsk = tableaux.rsk
+        rsk, insert = tableaux.rsk, tableaux._insert
 
         def counting(p):
+            direct[p.word] += 1
+            return rsk(p)
+
+        def inserting(word):
             if "evacuation" in callers:
                 evacuating[callers[0]] += 1
-            else:
-                direct[p.word] += 1
-            return rsk(p)
+            return insert(word)
 
         def entered(name, f):
             def wrapped(x):
@@ -726,6 +729,7 @@ class TestVerificationSuites:
             return wrapped
 
         monkeypatch.setattr(tableaux, "rsk", counting)
+        monkeypatch.setattr(tableaux, "_insert", inserting)
         monkeypatch.setattr(tableaux, "evacuation", entered("evacuation", tableaux.evacuation))
         monkeypatch.setattr(tableaux, "j_involution", entered("j", tableaux.j_involution))
         assert all(c.passed for c in run_suite("rsk-j", 5))
@@ -736,6 +740,24 @@ class TestVerificationSuites:
         # images; j evacuates the P-tableaux of the 64 321-avoiders with n <= 5
         # and of their images
         assert evacuating == Counter({"evacuation": 2 * 119, "j": 2 * 64})
+
+    def test_all_checks_each_value_once(self, monkeypatch):
+        # the pattern constants are parsed once, evacuation builds no
+        # Permutation, and the kappa and rsk-j rows share one S_1..S_7,
+        # built once per run and let go when it returns
+        built, sizes = [], Counter()
+        post_init, permutations_of = Permutation.__post_init__, itertools.permutations
+
+        def counting(values):
+            sizes[len(values)] += 1
+            return permutations_of(values)
+
+        monkeypatch.setattr(Permutation, "__post_init__", lambda p: built.append(post_init(p)))
+        monkeypatch.setattr(verification.itertools, "permutations", counting)
+        assert all(c.passed for c in run_suite("all", 7))
+        assert len(built) <= 28_000
+        assert sizes == Counter(range(1, 8))
+        assert verification._perm_tables.get(None) is None
 
     def test_j_image_leaving_the_class_is_reported(self, monkeypatch):
         # a j that sends [1,2,3] to [3,2,1]; the real j rejects the image

@@ -189,6 +189,29 @@ class TestValleys:
         with pytest.raises(ValueError, match="1..3"):
             ValleySet(4, (4,), (4,))
 
+    @pytest.mark.parametrize("n,xs,ys,message", [
+        (4, (1.0,), (1,), "n and coordinates must be integers: n=4, xs=(1.0,), ys=(1,)"),
+        (0, (1.5,), (), "n and coordinates must be integers: n=0, xs=(1.5,), ys=()"),
+        (0, (), (), "semilength must be at least 1"),
+        # |xs| != |ys| comes before the range and the order of either
+        (4, (5, 5), (1,), "|xs| != |ys|: (5, 5) vs (1,)"),
+        # a bad range comes before a bad order
+        (4, (4, 2), (1, 3), "coordinates must lie in 1..3: (4, 2)"),
+        (4, (2, 0), (1, 3), "coordinates must lie in 1..3: (2, 0)"),
+        (1, (1,), (1,), "coordinates must lie in 1..0: (1,)"),
+        # xs is checked before ys
+        (4, (2, 1), (5, 5), "coordinates must strictly increase: (2, 1)"),
+        (4, (1, 1), (3, 3), "coordinates must strictly increase: (1, 1)"),
+        (4, (1, 2), (0, 3), "coordinates must lie in 1..3: (0, 3)"),
+        (4, (1, 2), (3, 3), "coordinates must strictly increase: (3, 3)"),
+        # the elementwise test comes last
+        (4, (2, 3), (1, 3), "need xs[l] <= ys[l] elementwise (path above diagonal): (2, 3) vs (1, 3)"),
+        (4, (2,), (1,), "need xs[l] <= ys[l] elementwise (path above diagonal): (2,) vs (1,)"),
+    ])
+    def test_invalid_valley_set_messages(self, n, xs, ys, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ValleySet(n, xs, ys)
+
     def test_position_sum_is_maj(self):
         for n in range(1, 9):
             for D in enumerate_dyck(n):

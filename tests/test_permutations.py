@@ -37,7 +37,7 @@ from catbij import (
     reverse,
     tristat_gf,
 )
-from catbij.permutations import _pattern_word
+from catbij.permutations import _descents, _inverse_word, _pattern_word
 from catbij.verification import Check
 from conftest import CATALAN, FIGURE_PAIRS, all_perms, permutations_st
 
@@ -90,6 +90,15 @@ class TestDescentData:
     def test_degenerate_single_element(self):
         d = descent_data(identity(1))
         assert d.des == set() and d.asc == {1}
+
+    def test_matches_the_two_pass_oracle(self):
+        # descents of the word and of its inverse word, ascents by complement
+        # in {1..n-1} with n added
+        for n in range(1, 9):
+            full = frozenset(range(1, n))
+            for w in itertools.permutations(range(1, n + 1)):
+                des, ides = _descents(w), _descents(_inverse_word(w))
+                assert descent_data(Permutation(w)) == (des, (full - des) | {n}, ides, (full - ides) | {n})
 
     @given(permutations_st())
     def test_last_position_always_an_ascent(self, p):
@@ -217,11 +226,12 @@ class TestPatternForms:
 
     @pytest.mark.parametrize("pattern", _PATTERN_FORMS, ids=repr)
     def test_one_permutation_per_parse(self, monkeypatch, pattern):
+        # a Permutation was checked when it was built, so it is not parsed again
         built = []
         post_init = Permutation.__post_init__
         monkeypatch.setattr(Permutation, "__post_init__", lambda p: built.append(post_init(p)))
         assert _pattern_word(pattern) == (2, 3, 1)
-        assert len(built) == 1
+        assert len(built) == (0 if isinstance(pattern, Permutation) else 1)
 
     def test_pattern_is_parsed_before_the_size(self):
         with pytest.raises(ValueError, match="pattern must be"):

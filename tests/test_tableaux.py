@@ -134,6 +134,12 @@ class TestDescents:
     def test_two_by_two(self):
         assert tableau_descents(parse_tableau("[[1,3],[2,4]]")) == {1, 3}
 
+    def test_matches_the_dict_oracle(self):
+        for n in range(1, 10):
+            for T in standard_tableaux(n):
+                row_of = {v: r for r, row in enumerate(T.rows) for v in row}
+                assert tableau_descents(T) == {i for i in range(1, n) if row_of[i + 1] > row_of[i]}
+
 
 def jeu_de_taquin_evacuation(T):
     """Oracle: repeatedly delete the minimum, slide the hole to a corner by
@@ -170,6 +176,13 @@ class TestEvacuation:
         assert len(tableaux) == sum(INVOLUTION_COUNTS[1:10]) == 3735
         for T in tableaux:
             assert evacuation(T) == jeu_de_taquin_evacuation(T)
+
+    def test_inserts_the_reverse_complemented_reading_word(self):
+        # evacuation runs rsk's insertion loop on the word itself
+        for n in range(1, 10):
+            for T in standard_tableaux(n):
+                word = tuple(n + 1 - v for row in T.rows for v in reversed(row))
+                assert evacuation(T) == rsk(Permutation(word))[0]
 
     def test_single_row_and_column_fixed(self):
         row = parse_tableau("[[1,2,3,4]]")

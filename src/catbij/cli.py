@@ -103,7 +103,7 @@ def _cmd_poly(args) -> int:
         if len(parts) != 3:
             print("tristat selector is tristat:<pattern>:<orientation>", file=sys.stderr)
             return EXIT_PARSE
-        poly = polynomials.tristat_gf(args.n, parts[1], parts[2], max_n=args.max_n)
+        poly = polynomials.tristat_gf(args.n, parts[1], parts[2])
     else:
         print(f"unknown polynomial {which!r}; choose a, cat, macmahon, "
               "or tristat:<pattern>:<orientation>", file=sys.stderr)

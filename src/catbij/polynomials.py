@@ -16,8 +16,9 @@ up to which they check it:
                            the q-binomial coefficient,
 - ``tristat_gf``        -- a^des q^maj t^imaj over a pattern class, plainly
                            or complemented; valley DP for 231, 312, 132 and
-                           213, oracle ``avoider_poly``, n <= 8; enumeration
-                           (``avoider_poly`` itself) for 123 and 321,
+                           213, two-row tableau DP for 123 and 321
+                           (Schensted's theorem); oracle ``avoider_poly``,
+                           n <= 8,
 - ``verify_gf_identity``-- truncated-series residuals of the expansion of 1
                            into the bistatistic summands, whose denominators
                            are q-binomials read from the Pascal table,
@@ -26,9 +27,9 @@ up to which they check it:
                            sorted matching on each diagonal alpha - beta.
 
 Every route raises ValueError for n < 1 (``permutations._check_size``).  The
-ceiling guards enumeration only: the oracles, the 123/321 branch of
-``tristat_gf`` and ``kd_search`` raise CeilingExceeded for n > max_n, and
-the closed routes, which enumerate nothing, take no ceiling.
+ceiling guards enumeration only: the oracles and ``kd_search`` raise
+CeilingExceeded for n > max_n, and the closed routes, which enumerate
+nothing, take no ceiling.
 """
 from __future__ import annotations
 
@@ -398,42 +399,82 @@ def macmahon_q_catalan_quotient(n: int) -> MultiPoly:
     return binomial[n] - Q * binomial[n + 1]
 
 
-# (des, maj, imaj) of a class as a term map of the 231 polynomial: 312-avoiders
-# are the inverses of 231-avoiders; kappa sends 132-avoiders to paths with
-# (Des, iDes) = (X, {n - y}) where phi gives (X, Y); 213 is the
-# reverse-complement of 132.
-_VALLEY_KEYS: dict[tuple[int, ...], Callable[[int, int, int, int], Exponents]] = {
-    (2, 3, 1): lambda n, k, x, y: (k, x, y),
-    (3, 1, 2): lambda n, k, x, y: (k, y, x),
-    (1, 3, 2): lambda n, k, x, y: (k, x, n * k - y),
-    (2, 1, 3): lambda n, k, x, y: (k, n * k - x, y),
+def _two_row_gf(n: int) -> MultiPoly:
+    """The 321-avoiders counted by a^des q^maj t^imaj, through two-row tableaux.
+
+    By Schensted's theorem (Schensted, "Longest increasing and decreasing
+    subsequences", Canad. J. Math. 13, 1961; Stanley, *Enumerative
+    Combinatorics* vol. 2, ch. 7) RSK sends the 321-avoiders onto the pairs
+    (P, Q) of standard tableaux of one shape (n - k, k), with Des(w) = Des(Q)
+    and iDes(w) = Des(P).  So the sum is, over k, f_k(a, q) f_k(1, t), where
+    f_k counts the tableaux of that shape by a^des q^maj.
+
+    f_k comes from a DP over ballot words, with the state (row-2 length k,
+    the last letter went to row 1).  Letter p + 1 may go to row 2 while
+    2k < p; after letter p in row 1 it is a descent at p, which sends the key
+    (d, m) to (d + 1, m + p).
+    """
+    _check_size(n)
+    layer = {(0, False): Counter({(0, 0): 1})}
+    for p in range(n):
+        following: defaultdict[tuple[int, bool], Counter] = defaultdict(Counter)
+        for (k, top), gf in layer.items():
+            following[k, True].update(gf)
+            if 2 * k < p:
+                second = following[k + 1, False]
+                if top:
+                    for (d, m), c in gf.items():
+                        second[d + 1, m + p] += c
+                else:
+                    second.update(gf)
+        layer = following
+    out: Counter = Counter()
+    for k in range(n // 2 + 1):
+        gf = layer[k, True] + layer[k, False]  # f_k: the tableaux of shape (n - k, k)
+        imajs: Counter = Counter()
+        for (_, m), c in gf.items():
+            imajs[m] += c
+        for (d, x), c in gf.items():
+            for y, c2 in imajs.items():
+                out[d, x, y] += c * c2
+    return MultiPoly._of(out)  # counts: no exponent is negative
+
+
+# each length-3 class as (closed count, term map of the count's keys, with n
+# first): 312-avoiders are the inverses of 231-avoiders; kappa sends
+# 132-avoiders to paths with (Des, iDes) = (X, {n - y}) where phi gives
+# (X, Y); 213 is the reverse-complement of 132; 123-avoiders are the reverses
+# of 321-avoiders.
+_ROUTES: dict[tuple[int, ...],
+              tuple[Callable[[int], MultiPoly], Callable[[int, int, int, int], Exponents]]] = {
+    (2, 3, 1): (_valley_gf, lambda n, k, x, y: (k, x, y)),
+    (3, 1, 2): (_valley_gf, lambda n, k, x, y: (k, y, x)),
+    (1, 3, 2): (_valley_gf, lambda n, k, x, y: (k, x, n * k - y)),
+    (2, 1, 3): (_valley_gf, lambda n, k, x, y: (k, n * k - x, y)),
+    (3, 2, 1): (_two_row_gf, lambda n, d, x, y: (d, x, y)),
+    (1, 2, 3): (_two_row_gf, lambda n, d, x, y: (n - 1 - d, comb(n, 2) - n * d + x, comb(n, 2) - y)),
 }
 
 
-def tristat_gf(
-    n: int,
-    pattern,
-    orientation: str = "plain",
-    max_n: int = DEFAULT_MAX_N,
-) -> MultiPoly:
+def tristat_gf(n: int, pattern, orientation: str = "plain") -> MultiPoly:
     """Generating function of (des, maj, imaj) over a pattern class.
 
     plain:        sum of a^des q^maj t^imaj
     complemented: sum of a^(n-1-des) q^(C(n,2)-maj) t^(C(n,2)-imaj)
 
-    The plain form of 231, 312, 132 and 213 is a term map of the valley DP;
-    123 and 321 are enumerated, under the ceiling max_n.  The complemented
-    form is a term map of the plain one.
+    Every class is closed and enumerates nothing.  The plain form of 231,
+    312, 132 and 213 is a term map of the valley DP; 321 is the two-row
+    tableau DP (Schensted's theorem) and 123, its reverses, a term map of it.
+    The complemented form is a term map of the plain one.
     """
     word = _pattern_word(pattern)
-    if len(word) != 3:
-        raise ValueError("pattern must be one of [123, 132, 213, 231, 312, 321]")
+    try:
+        count, key = _ROUTES[word]
+    except KeyError:
+        raise ValueError("pattern must be one of [123, 132, 213, 231, 312, 321]") from None
     if orientation not in ("plain", "complemented"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    if word in _VALLEY_KEYS:
-        plain = _term_map(_valley_gf(n), partial(_VALLEY_KEYS[word], n))
-    else:
-        plain = avoider_poly(n, word, lambda s: (s.des, s.maj, s.imaj), max_n)
+    plain = _term_map(count(n), partial(key, n))
     return plain if orientation == "plain" else _complemented(plain, n)
 
 

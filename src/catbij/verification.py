@@ -355,9 +355,6 @@ def _drop_a(p: polynomials.MultiPoly) -> polynomials.MultiPoly:
 
 
 def suite_tristat(n_max: int) -> list[Check]:
-    def gf(n: int, pattern: int, orientation: str = "plain") -> polynomials.MultiPoly:
-        return polynomials.tristat_gf(n, pattern, orientation, max_n=n_max)
-
     @functools.cache  # two rows compare with 213; the cache goes with the suite's run
     def enumerated(n: int, pattern: int) -> polynomials.MultiPoly:
         """The complemented form by enumeration: the oracle of both sides."""
@@ -365,13 +362,14 @@ def suite_tristat(n_max: int) -> list[Check]:
         return polynomials._complemented(plain, n)
 
     def agree(plain: int, complemented: int) -> Callable[[int], bool]:
-        return lambda n: gf(n, plain) == enumerated(n, complemented) == gf(n, complemented, "complemented")
+        return lambda n: (polynomials.tristat_gf(n, plain) == enumerated(n, complemented)
+                          == polynomials.tristat_gf(n, complemented, "complemented"))
 
     return _run([
         *(_per_n(f"{a}-plain equals {b}-complemented, n<={n_max}", n_max, agree(a, b))
           for a, b in ((231, 312), (132, 213), (123, 321))),
         _per_n(f"132/213 identity survives a=1, n<={n_max}", n_max,
-               lambda n: _drop_a(gf(n, 132)) == _drop_a(enumerated(n, 213))),
+               lambda n: _drop_a(polynomials.tristat_gf(n, 132)) == _drop_a(enumerated(n, 213))),
     ])
 
 

@@ -63,6 +63,17 @@ FAULTS = [
           "    return StandardTableau._of(_insert(n + 1 - v for row in T.rows for v in reversed(row))[0])",
           "    return StandardTableau._of(_insert(n + 1 - v for row in T.rows for v in row)[0])",
           "verify rsk-j 7"),
+    # the two-row tableau DP of the 321-avoiders records a descent one place late
+    Fault("polynomials.py",
+          "                        second[d + 1, m + p] += c",
+          "                        second[d + 1, m + p + 1] += c",
+          "tests/test_polynomials.py::TestTristat::test_valley_route_matches_avoider_oracle[321-plain]"),
+    # bounce one too high from n = 7 on, on paths whose first touch point is 1;
+    # no verify row calls bounce, so verify all passes this fault
+    Fault("dyck.py",
+          "            total += n - a",
+          "            total += n - a + (a == 1 and n >= 7)",
+          "tests/test_polynomials.py::TestPolynomialZoo::test_closed_route_matches_path_oracle[cat]"),
 ]
 
 

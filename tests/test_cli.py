@@ -142,13 +142,11 @@ def is_permutation(digits):
 
 
 _ORIENTATIONS = ("plain", "complemented")
-# selectors with a closed route, and the two tristat patterns that enumerate
+# every poly selector; each has a closed route
 _CLOSED_SELECTORS = ["a", "cat", "macmahon",
-                     *(f"tristat:{p}:{o}" for p in (231, 312, 132, 213) for o in _ORIENTATIONS)]
-_ENUMERATED_SELECTORS = [f"tristat:{p}:{o}" for p in (123, 321) for o in _ORIENTATIONS]
+                     *(f"tristat:{p}:{o}" for p in (231, 312, 132, 213, 123, 321) for o in _ORIENTATIONS)]
 _POLY_ARGS = st.one_of(
     st.tuples(st.sampled_from(_CLOSED_SELECTORS), st.integers(-2, 14)),
-    st.tuples(st.sampled_from(_ENUMERATED_SELECTORS), st.integers(-2, 6)),
     st.tuples(st.text(max_size=12), st.integers(-2, 6)),
 )
 _ENUMERATE_ARGS = st.tuples(
@@ -306,13 +304,8 @@ class TestPoly:
         assert out == ""
         assert err == "error: n must be at least 1\n"
 
-    def test_ceiling_is_exit_4(self, capsys):
-        # the 123/321 classes are enumerated, so the ceiling applies
-        code, _, err = run(capsys, "--max-n", "3", "poly", "tristat:123:plain", "4")
-        assert code == 4
-        assert "ceiling" in err
-
-    @pytest.mark.parametrize("kind", ["a", "cat", "macmahon", "tristat:231:plain", "tristat:213:complemented"])
+    @pytest.mark.parametrize("kind", ["a", "cat", "macmahon", "tristat:231:plain", "tristat:213:complemented",
+                                      "tristat:123:plain", "tristat:321:complemented"])
     def test_closed_routes_ignore_the_ceiling(self, capsys, kind):
         result = run(capsys, "--max-n", "3", "poly", kind, "4")
         assert result[0] == 0
@@ -773,11 +766,13 @@ class TestVerificationSuites:
         ((3, 1, 2), (2, 3, 1), ["231-plain equals 312-complemented"]),
         ((1, 3, 2), (2, 1, 3), ["132-plain equals 213-complemented", "132/213 identity survives a=1"]),
         ((2, 1, 3), (1, 3, 2), ["132-plain equals 213-complemented"]),
-    ], ids=["231", "312", "132", "213"])
+        ((1, 2, 3), (3, 2, 1), ["123-plain equals 321-complemented"]),
+        ((3, 2, 1), (1, 2, 3), ["123-plain equals 321-complemented"]),
+    ], ids=["231", "312", "132", "213", "123", "321"])
     def test_tristat_rows_check_every_valley_term_map(self, monkeypatch, key, stand_in, failing):
-        # one class given another's term map; the enumerated sides stay
-        # right, so its rows fail at n = 3, the first n where the maps differ
-        monkeypatch.setitem(polynomials._VALLEY_KEYS, key, polynomials._VALLEY_KEYS[stand_in])
+        # one class given another's route; the enumerated sides stay right,
+        # so its rows fail at n = 3, the first n where the routes differ
+        monkeypatch.setitem(polynomials._ROUTES, key, polynomials._ROUTES[stand_in])
         assert [c for c in run_suite("tristat", 6) if not c.passed] == [
             Check(f"{name}, n<=6", False, "counterexample: n=3") for name in failing]
 

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from catbij import (
-    CeilingExceeded,
     MultiPoly,
     NegativeExponent,
     NoAssignment,
@@ -264,6 +263,9 @@ class TestPolynomialZoo:
         mac = macmahon_q_catalan(n)
         assert t_to_q_inverse_shifted(a, n) == mac == macmahon_q_catalan_quotient(n)
         assert t_to_q_inverse_shifted(cat, n) == mac
+        plain_123, plain_321 = tristat_gf(n, 123), tristat_gf(n, 321)
+        assert plain_123.evaluate() == plain_321.evaluate() == 2674440
+        assert plain_123 == tristat_gf(n, 321, "complemented")
 
     def test_macmahon_small(self):
         assert macmahon_q_catalan(1) == MultiPoly.one()
@@ -305,8 +307,9 @@ class TestTristat:
             assert tristat_gf(n, plain, "plain") == tristat_gf(n, complemented, "complemented")
 
     @pytest.mark.parametrize("orientation", ["plain", "complemented"])
-    @pytest.mark.parametrize("pattern", [231, 312, 132, 213])
+    @pytest.mark.parametrize("pattern", [231, 312, 132, 213, 123, 321])
     def test_valley_route_matches_avoider_oracle(self, pattern, orientation):
+        # 231, 312, 132 and 213 take the valley DP; 123 and 321 the two-row DP
         for n in range(1, 9):
             shift = n * (n - 1) // 2
 
@@ -316,13 +319,6 @@ class TestTristat:
                 return (n - 1 - s.des, shift - s.maj, shift - s.imaj)
 
             assert tristat_gf(n, pattern, orientation) == avoider_poly(n, pattern, key)
-
-    def test_ceiling_guards_only_the_enumerated_classes(self):
-        for pattern in (231, 312, 132, 213):
-            assert tristat_gf(4, pattern, max_n=3).evaluate() == 14
-        for pattern in (123, 321):
-            with pytest.raises(CeilingExceeded):
-                tristat_gf(4, pattern, max_n=3)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError, match=r"^pattern must be one of \[123, 132, 213, 231, 312, 321\]$"):

@@ -16,11 +16,7 @@ import json
 from operator import ge, gt, index
 from typing import Iterator, NamedTuple
 
-from .errors import (
-    NonBinaryCharacter,
-    PrefixViolation,
-    UnbalancedCounts,
-)
+from .errors import NonBinaryCharacter, PrefixViolation, UnbalancedCounts
 from .permutations import DEFAULT_MAX_N, _check_size, _Frozen
 
 NORTH = 0
@@ -42,6 +38,13 @@ class DyckPath(_Frozen):
     def __init__(self, steps: tuple[int, ...]):
         object.__setattr__(self, "steps", steps)
         self.__post_init__()
+
+    @classmethod
+    def _of(cls, steps: tuple[int, ...]) -> "DyckPath":
+        """Wrap int 0/1 steps, a Dyck word by construction, unchecked."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "steps", steps)
+        return path
 
     def __post_init__(self):
         steps = tuple(self.steps)
@@ -315,8 +318,10 @@ def paths_with_stats(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[tuple[DyckP
     east steps only.  Its one valley sits at j + 1, so the sums of the new
     path follow from those of the first j steps without a pass over the
     word.  The walk keeps those prefix sums at each north step, the only
-    places a later successor can start from.  ``path_stats`` and ``area``
-    are the oracles.
+    places a later successor can start from.  The paths are Dyck words by
+    construction and built unchecked, by ``DyckPath._of``; the checking
+    ``DyckPath`` is their oracle, and ``path_stats`` and ``area`` that of
+    the sums.
 
     >>> [(str(D), s.maj, s.area) for D, s in paths_with_stats(2)]
     [('0011', 0, 1), ('0101', 2, 0)]
@@ -331,7 +336,7 @@ def paths_with_stats(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[tuple[DyckP
         total_area = n * (n - 1) // 2
         new = tuple.__new__  # builds PathSums without its keyword-parsing __new__
         while True:
-            yield DyckPath(steps), new(PathSums, (maj, maj - maj1, maj1, total_area))
+            yield DyckPath._of(steps), new(PathSums, (maj, maj - maj1, maj1, total_area))
             # scan right to left; the north step at j starts at height ones - zeros - 1
             zeros = ones = 0
             for j in range(2 * n - 1, 0, -1):

@@ -10,12 +10,20 @@ Conventions used throughout the package:
   and is load-bearing: every descent block is followed by an ascent.
 - ``ides``/``imaj`` are the descent set / major index of the inverse.
 
-Pattern containment has one test for the six patterns of length 3, the ban
-mask ``_bans``: appending v bans the later values u that would close an
-occurrence (x, v, u) with an earlier x, one interval read in O(1) from the
-bit mask of the earlier values.  ``contains`` and the avoider stream both use
-it; the naive subsequence scan ``contains_naive`` works for any pattern
-length and remains the oracle.
+Pattern containment has one test for the six patterns of length 3, the
+extension mask ``_EXTENSIONS[pattern](used, free)``: read in O(1) from the
+bit masks of the placed and the free values of a prefix that some avoider
+extends, it holds exactly the free values v that some avoider puts next:
+
+    123: v < min(used), or v = max(free)
+    321: v > max(used), or v = min(free)
+    132: v < min(used), or the least free v > min(used)
+    312: v > max(used), or the greatest free v < max(used)
+    231: the lowest run of consecutive free values
+    213: the highest run of consecutive free values
+
+``contains`` and the avoider stream both use it; the naive scan
+``contains_naive`` works for any pattern length and is the oracle.
 """
 from __future__ import annotations
 
@@ -113,7 +121,7 @@ class Permutation(_Frozen):
         return len(self.word)
 
     def __str__(self) -> str:
-        return "[" + ",".join(map(str, self.word)) + "]"
+        return str(list(self.word)).replace(" ", "")
 
     def __iter__(self):
         return iter(self.word)
@@ -249,38 +257,27 @@ def _pattern_word(pattern) -> tuple[int, ...]:
         raise ValueError(f"pattern must be a permutation like 231, got {pattern!r}") from None
 
 
-def _bans(pattern: tuple[int, ...], used: int, v: int) -> int:
-    """The values banned after v by the length-3 pattern (a, b, c).
+def _ext_132(used: int, free: int) -> int:
+    below = free & ((used & -used) - 1)
+    above = free ^ below
+    return below | above & -above
 
-    ``used`` has bit x set for each value x placed before v.  The result has
-    bit u set iff some earlier x makes (x, v, u) an occurrence; it is one
-    interval, and negative when it is unbounded above:
 
-    123: u > v if some x < v      321: u < v if some x > v
-    132: min(x < v) < u < v       312: v < u < max(x > v)
-    231: u < max(x < v)           213: u > min(x > v)
+def _ext_312(used: int, free: int) -> int:
+    above = free & -(1 << used.bit_length())
+    below = free ^ above
+    return above | 1 << below.bit_length() >> 1
 
-    >>> bin(_bans((2, 3, 1), 0b0100, 5)), _bans((2, 3, 1), 0b1000, 2)
-    ('0b10', 0)
-    """
-    a, b, c = pattern
-    if a < b:
-        below = used & ((1 << v) - 1)
-        if not below:
-            return 0
-        if c > b:
-            return -(2 << v)
-        if c > a:
-            return (1 << v) - ((below & -below) << 1)
-        return (1 << (below.bit_length() - 1)) - 2
-    above = used >> (v + 1)
-    if not above:
-        return 0
-    if c < b:
-        return (1 << v) - 2
-    if c < a:
-        return (1 << (used.bit_length() - 1)) - (2 << v)
-    return -((above & -above) << (v + 2))
+
+#: the extension masks of the module docstring
+_EXTENSIONS = {
+    (1, 2, 3): lambda used, free: free & ((used & -used) - 1) | 1 << free.bit_length() >> 1,
+    (3, 2, 1): lambda used, free: free & -(1 << used.bit_length()) | free & -free,
+    (1, 3, 2): _ext_132,
+    (3, 1, 2): _ext_312,
+    (2, 3, 1): lambda used, free: free & ~(free + (free & -free)),
+    (2, 1, 3): lambda used, free: free & -(1 << (used & (1 << free.bit_length() >> 1) - 1).bit_length()),
+}
 
 
 def contains_naive(p: Permutation | Sequence[int], pattern) -> bool:
@@ -301,24 +298,26 @@ def contains_naive(p: Permutation | Sequence[int], pattern) -> bool:
 def contains(p: Permutation | Sequence[int], pattern) -> bool:
     """True iff some subsequence of p is order-isomorphic to the pattern.
 
-    A length-3 pattern is found in one pass: the word contains it iff some
-    value arrives already banned by an earlier one.  The values may be any
-    distinct integers; values outside 1..n are first replaced by their
-    ranks.  Longer patterns use the naive scan.
+    A length-3 pattern is found in one pass: the word avoids it iff every
+    value lies in the extension mask of the values before it.  The values
+    may be any distinct integers; values outside 1..n are first replaced by
+    their ranks.  Longer patterns use the naive scan.
     """
     word = p.word if isinstance(p, Permutation) else tuple(p)
     pat = _pattern_word(pattern)
-    if len(pat) != 3:
+    extend = _EXTENSIONS.get(pat)
+    if extend is None:
         return contains_naive(word, pat)
     if word and (min(word) < 1 or max(word) > len(word)):
         rank = {x: r for r, x in enumerate(sorted(word), start=1)}
         word = [rank[x] for x in word]
-    used = banned = 0
+    used, free = 0, (2 << len(word)) - 2
     for v in word:
-        if banned >> v & 1:
+        bit = 1 << v
+        if not extend(used, free) & bit:
             return True
-        banned |= _bans(pat, used, v)
-        used |= 1 << v
+        used |= bit
+        free ^= bit
     return False
 
 
@@ -358,13 +357,11 @@ def avoiders_with_stats(
     loop: position k resumes after ``tried[k]``, the last value tried there,
     and a position with no value left backtracks.
 
-    For a length-3 pattern ``banned[k]`` is the union of the bans of the
-    first k values.  Bans only grow, so a prefix that bans a still-free value
-    has no avoiding completion: pruning it is exact, and it keeps every free
-    value unbanned, so each candidate costs one mask test and the last free
-    value is yielded at depth n - 1 without a test.  Other patterns
-    test v only against the copies it would end, as the prefix avoids: the
-    shorter subsequences of the prefix followed by v.  A bad pattern is
+    For a length-3 pattern ``masks[k]`` is the extension mask of the first
+    k values, so no branch dies, no candidate is rejected, and the last free
+    value is yielded at depth n - 1 without a test.  Other patterns test
+    each free v only against the copies it would end, as the prefix avoids:
+    the shorter subsequences of the prefix followed by v.  A bad pattern is
     reported before a bad size.
 
     ``sums[k]`` holds (des, maj, imaj, inv) of the first k values, so a row's
@@ -376,7 +373,8 @@ def avoiders_with_stats(
     """
     pat = _pattern_word(pattern)
     _check_size(n, max_n)
-    masked = len(pat) == 3
+    extend = _EXTENSIONS.get(pat)
+    masked = extend is not None
     places = range(len(pat))
     rank = tuple(sorted(places, key=pat.__getitem__))
     leaf = n - 1 if masked else n  # the depth at which the walk yields
@@ -384,19 +382,19 @@ def avoiders_with_stats(
     def walk() -> Iterator[tuple[Permutation, PermStats]]:
         prefix: list[int] = []
         full = free = (2 << n) - 2
-        banned = [0] * (n + 1)
+        masks = [full] * (n + 1)
         tried = [0] * (n + 1)
         sums = [(0, 0, 0, 0)] * (n + 1)
         new = tuple.__new__  # builds PermStats without its keyword-parsing __new__
         while True:
             k = len(prefix)
             if k < leaf:
-                rest = free & -(2 << tried[k])
+                rest = (masks[k] if masked else free) & -(2 << tried[k])
             else:
                 des, maj, imaj, inv = sums[k]
                 if masked:
-                    # append the one free value u, unbanned: every larger
-                    # value, u + 1 among them, came earlier
+                    # append the one free value u: every larger value, u + 1
+                    # among them, came earlier
                     u = free.bit_length() - 1
                     if k and u < prefix[-1]:
                         des += 1
@@ -413,13 +411,8 @@ def avoiders_with_stats(
                 bit = rest & -rest
                 rest ^= bit
                 v = bit.bit_length() - 1
-                if masked:
-                    ban = banned[k] | _bans(pat, full ^ free, v)
-                    if not ban & (free ^ bit):
-                        break
-                elif not any(tuple(sorted(places, key=(*head, v).__getitem__)) == rank
-                             for head in itertools.combinations(prefix, len(pat) - 1)):
-                    ban = 0
+                if masked or not any(tuple(sorted(places, key=(*head, v).__getitem__)) == rank
+                                     for head in itertools.combinations(prefix, len(pat) - 1)):
                     break
             else:
                 if not prefix:
@@ -431,14 +424,16 @@ def avoiders_with_stats(
             if k and v < prefix[-1]:
                 des += 1
                 maj += k
-            above = (full ^ free) >> v  # bit j set iff v + j came earlier
+            used = full ^ free
+            above = used >> v  # bit j set iff v + j came earlier
             if above & 2:
                 imaj += v
             sums[k + 1] = (des, maj, imaj, inv + above.bit_count())
             tried[k] = v
-            banned[k + 1] = ban
             prefix.append(v)
             free ^= bit
+            if masked:
+                masks[k + 1] = extend(used | bit, free)
 
     return walk()
 

@@ -74,6 +74,17 @@ FAULTS = [
           "            total += n - a",
           "            total += n - a + (a == 1 and n >= 7)",
           "tests/test_polynomials.py::TestPolynomialZoo::test_closed_route_matches_path_oracle[cat]"),
+    # the 231 extension mask keeps the bit past its run: a placed value, or n + 1
+    Fault("permutations.py",
+          "    (2, 3, 1): lambda used, free: free & ~(free + (free & -free)),",
+          "    (2, 3, 1): lambda used, free: (free + (free & -free)) ^ free,",
+          "tests/test_permutations.py::TestEnumeration::test_stream_is_the_lex_filter_of_the_oracle[231]"),
+    # the Dyck successor writes one north step too few; the walk builds its
+    # paths unchecked, so no constructor rejects the short word
+    Fault("dyck.py",
+          "            steps = steps[:j] + (EAST,) + (NORTH,) * (zeros + 1) + (EAST,) * (ones - 1)",
+          "            steps = steps[:j] + (EAST,) + (NORTH,) * zeros + (EAST,) * (ones - 1)",
+          "tests/test_dyck.py::TestEnumeration::test_walk_yields_what_the_checking_constructor_builds"),
 ]
 
 

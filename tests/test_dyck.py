@@ -70,6 +70,30 @@ def area_oracle(D):
     return sum(max(0, h - (x + 1)) for x, h in enumerate(heights))
 
 
+def bounce_oracle(D):
+    """Grid oracle: walk the bounce path, north from each touch point until
+    D starts an east step there, then east to the diagonal, and sum n - a
+    over the touch points (a, a) with 0 < a < n."""
+    n = D.n
+    x = y = 0
+    east_from = set()  # the lattice points D leaves by an east step
+    for s in D.steps:
+        if s == 0:
+            y += 1
+        else:
+            east_from.add((x, y))
+            x += 1
+    a = total = 0
+    while a < n:
+        h = a
+        while (a, h) not in east_from:
+            h += 1
+        a = h
+        if a < n:
+            total += n - a
+    return total
+
+
 class TestParsing:
     def test_blanks_are_grouping_only(self):
         assert RUNNING.n == 6
@@ -269,6 +293,11 @@ class TestAreaBounce:
             for D in enumerate_dyck(n):
                 assert area(D) == area_oracle(D)
 
+    def test_bounce_matches_grid_oracle(self):
+        for n in range(1, 9):
+            for D in enumerate_dyck(n):
+                assert bounce(D) == bounce_oracle(D), str(D)
+
 
 class TestInvolutions:
     def test_complement_swaps_special_pair(self):
@@ -338,6 +367,15 @@ class TestEnumeration:
                 s = path_stats(D)
                 assert sums == PathSums(s.maj, s.maj0, s.maj1, area(D))
                 assert type(sums) is PathSums
+
+    def test_walk_yields_what_the_checking_constructor_builds(self):
+        # the walk builds its paths unchecked; stdout depends on their hash
+        # through set order, so the steps must be the ints DyckPath stores
+        for n in range(1, 10):
+            for D, _ in paths_with_stats(n):
+                assert type(D.steps) is tuple
+                assert all(type(s) is int and s in (0, 1) for s in D.steps)
+                assert D == DyckPath(D.steps)
 
     @pytest.mark.parametrize("stream", [enumerate_dyck, paths_with_stats])
     @pytest.mark.parametrize("n,error", [(0, ValueError), (13, CeilingExceeded)])

@@ -37,7 +37,7 @@ from catbij import (
     reverse,
     tristat_gf,
 )
-from catbij.permutations import _descents, _inverse_word, _pattern_word
+from catbij.permutations import _EXTENSIONS, _descents, _inverse_word, _pattern_word
 from catbij.verification import Check
 from conftest import CATALAN, FIGURE_PAIRS, all_perms, permutations_st
 
@@ -52,11 +52,29 @@ def position_of_value(word):
     return tuple(word.index(v) + 1 for v in range(1, len(word) + 1))
 
 
+def naive_avoiders(pattern, top):
+    """(n, the avoiders of S_n in lex order) for n = 1..top, by the naive scan.
+
+    Each word of S_n is one (n-1)-word with its values >= v shifted up,
+    followed by v.  A word whose first n-1 letters contain the pattern
+    contains it, so the scan need only see the extensions of the previous
+    avoiders."""
+    want = [()]
+    for n in range(1, top + 1):
+        extended = (tuple(x + (x >= v) for x in u) + (v,) for u in want for v in range(1, n + 1))
+        want = sorted(w for w in extended if not contains_naive(w, pattern))
+        yield n, want
+
+
 class TestConstruction:
     def test_parse_with_and_without_brackets(self):
         assert parse_permutation("[6,2,1,5,4,3]") == SIGMA
         assert parse_permutation("6, 2, 1, 5, 4, 3") == SIGMA
         assert str(SIGMA) == "[6,2,1,5,4,3]"
+
+    def test_str_is_the_bracketed_comma_join(self):
+        for w in [(1,), (2, 1), tuple(range(12, 0, -1)), (10, 3, 1, 2, 11, 4, 5, 6, 7, 8, 9, 12)]:
+            assert str(Permutation(w)) == "[" + ",".join(map(str, w)) + "]"
 
     @pytest.mark.parametrize("bad", [(), (0, 1), (1, 1), (1, 3), (2,)])
     def test_rejects_non_permutations(self, bad):
@@ -263,18 +281,25 @@ class TestEnumeration:
         ids=lambda pattern: "".join(map(str, pattern)),
     )
     def test_stream_is_the_lex_filter_of_the_oracle(self, pattern):
-        # length 3 takes the ban-mask route, every other length the test of the
-        # copies a new value would end
+        # length 3 takes the extension-mask route, every other length the test
+        # of the copies a new value would end
         top = {3: 8, 4: 7, 5: 7}.get(len(pattern), 6)
-        want = [()]
-        for n in range(1, top + 1):
-            # Each word of S_n is one (n-1)-word with its values >= v shifted
-            # up, followed by v.  A word whose first n-1 letters contain the
-            # pattern contains it, so the oracle need only see the extensions
-            # of the previous avoiders.
-            extended = (tuple(x + (x >= v) for x in u) + (v,) for u in want for v in range(1, n + 1))
-            want = sorted(w for w in extended if not contains_naive(w, pattern))
+        for n, want in naive_avoiders(pattern, top):
             assert [p.word for p in enumerate_avoiders(n, pattern)] == want
+
+    @pytest.mark.parametrize("pattern", [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)],
+                             ids=lambda pattern: "".join(map(str, pattern)))
+    def test_extension_mask_is_the_set_of_values_an_avoider_puts_next(self, pattern):
+        # every prefix of an avoider, with the values that avoiders put after it
+        for n, avoiders in naive_avoiders(pattern, 7):
+            nexts: dict[tuple, set] = {}
+            for w in avoiders:
+                for k in range(n):
+                    nexts.setdefault(w[:k], set()).add(w[k])
+            full = (2 << n) - 2
+            for prefix, values in nexts.items():
+                used = sum(1 << x for x in prefix)
+                assert _EXTENSIONS[pattern](used, full ^ used) == sum(1 << v for v in values), prefix
 
     @pytest.mark.parametrize("pattern", [123, 132, 213, 231, 312, 321])
     def test_length_3_pattern_builds_one_permutation_per_avoider(self, monkeypatch, pattern):

@@ -16,7 +16,11 @@ Around it live:
                     (des, maj, imaj) triple.
 
 Every map checks that its input lies in its pattern class and raises the
-typed error from ``catbij.errors`` when it does not.
+typed error from ``catbij.errors`` when it does not.  The images that are
+valid by construction (``phi_inv``, ``psi_perm``, ``kappa``) are built
+unchecked.  ``phi`` builds its path through the checking ``DyckPath``: the
+steps are a Dyck word only by the lemma that sorted Des <= iDes elementwise
+on 231-avoiders, which ``verify lemmas`` checks.
 """
 from __future__ import annotations
 
@@ -86,6 +90,8 @@ def kappa(p: Permutation) -> DyckPath:
     height h_i + 1, then one east step down to height h_i.  The input avoids
     132 exactly when consecutive heights satisfy h[i+1] >= h[i] - 1, which is
     what makes the construction valid; violations raise NotAvoiding132.
+    Past that test each climb is at least 0 and the climbs add up to
+    h_n + n = n, so the word is a Dyck word, built unchecked.
     """
     hs = heights(p)
     if any(b < a - 1 for a, b in zip(hs, hs[1:])):
@@ -97,7 +103,7 @@ def kappa(p: Permutation) -> DyckPath:
         steps.extend([0] * climb)
         steps.append(1)
         height = h
-    return DyckPath(tuple(steps))
+    return DyckPath._of(tuple(steps))
 
 
 def kappa_factored(p: Permutation) -> DyckPath:

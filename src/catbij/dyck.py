@@ -147,6 +147,16 @@ class ValleySet(_Frozen):
         object.__setattr__(self, "ys", ys)
         self.__post_init__()
 
+    @classmethod
+    def _of(cls, n: int, xs: tuple[int, ...], ys: tuple[int, ...]) -> "ValleySet":
+        """Wrap int coordinates that meet the invariants by construction,
+        unchecked."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "n", n)
+        object.__setattr__(v, "xs", xs)
+        object.__setattr__(v, "ys", ys)
+        return v
+
     def __post_init__(self):
         n, xs, ys = self.n, tuple(self.xs), tuple(self.ys)
         try:
@@ -202,7 +212,8 @@ def _json_fields(data, what: str, names: tuple[str, ...], arrays: tuple[str, ...
 
 def valleys(D: DyckPath) -> ValleySet:
     """Valley coordinates: after i steps with x east and y north, the valley
-    at descent position i sits at (x, y).
+    at descent position i sits at (x, y).  The valleys of a Dyck path meet
+    the invariants of ``ValleySet``, so it is built unchecked.
 
     >>> v = valleys(parse_path("010010110101"))
     >>> v.xs, v.ys
@@ -216,7 +227,7 @@ def valleys(D: DyckPath) -> ValleySet:
         if s == EAST and steps[i] == NORTH:
             xs.append(easts)
             ys.append(i - easts)
-    return ValleySet(n=D.n, xs=xs, ys=ys)
+    return ValleySet._of(D.n, tuple(xs), tuple(ys))
 
 
 def _valley_steps(n: int, xs, ys) -> tuple[int, ...]:
@@ -231,8 +242,9 @@ def _valley_steps(n: int, xs, ys) -> tuple[int, ...]:
 
 
 def from_valleys(v: ValleySet) -> DyckPath:
-    """The unique path with the given valleys (see ``_valley_steps``)."""
-    return DyckPath(_valley_steps(v.n, v.xs, v.ys))
+    """The unique path with the given valleys (see ``_valley_steps``); the
+    invariants of ``ValleySet`` make it a Dyck word, built unchecked."""
+    return DyckPath._of(_valley_steps(v.n, v.xs, v.ys))
 
 
 def area(D: DyckPath) -> int:
@@ -281,6 +293,12 @@ def valley_complement(D: DyckPath) -> DyckPath:
     """The involution replacing the valley sets (X, Y) by their complements
     in {1..n-1}, swapped: X' = complement of Y, Y' = complement of X.
 
+    The image is a valid valley set, built unchecked.  X' and Y' are
+    increasing, in 1..n-1, and of one length, n - 1 - |X|.  For such
+    sequences, xs[l] <= ys[l] for all l says that each {1..t} holds at
+    least as many x's as y's; X' and Y' hold t minus the y's and t minus
+    the x's there, so X' dominates Y' in the same way.
+
     >>> str(valley_complement(parse_path("01010011")))
     '00011101'
     """
@@ -289,13 +307,14 @@ def valley_complement(D: DyckPath) -> DyckPath:
     full = range(1, D.n)
     xs = tuple(i for i in full if i not in old_ys)
     ys = tuple(i for i in full if i not in old_xs)
-    return from_valleys(ValleySet(n=D.n, xs=xs, ys=ys))
+    return from_valleys(ValleySet._of(D.n, xs, ys))
 
 
 def reflect(D: DyckPath) -> DyckPath:
     """Reflection along the antidiagonal: reverse the word and swap the step
-    letters.  An involution that maps each valley (x, y) to (n-y, n-x)."""
-    return DyckPath(tuple(1 - s for s in reversed(D.steps)))
+    letters.  An involution that maps each valley (x, y) to (n-y, n-x); the
+    image of a Dyck word is one, built unchecked."""
+    return DyckPath._of(tuple(1 - s for s in reversed(D.steps)))
 
 
 class PathSums(NamedTuple):

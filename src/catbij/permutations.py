@@ -96,6 +96,14 @@ class Permutation(_Frozen):
         object.__setattr__(self, "word", word)
         self.__post_init__()
 
+    @classmethod
+    def _of(cls, word: tuple[int, ...]) -> "Permutation":
+        """Wrap a tuple of ints that is a permutation of 1..n by
+        construction, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "word", word)
+        return p
+
     def __post_init__(self):
         try:
             word = tuple(map(index, self.word))
@@ -186,12 +194,12 @@ def inverse(p: Permutation) -> Permutation:
     >>> inverse(Permutation((2, 3, 1))).word
     (3, 1, 2)
     """
-    return Permutation(_inverse_word(p.word))
+    return Permutation._of(_inverse_word(p.word))
 
 
 def reverse(p: Permutation) -> Permutation:
     """The reversal involution [w_1,...,w_n] -> [w_n,...,w_1]."""
-    return Permutation(p.word[::-1])
+    return Permutation._of(p.word[::-1])
 
 
 def descent_data(p: Permutation) -> DescentData:
@@ -484,7 +492,9 @@ def reconstruct_231(n: int, des: Iterable[int], ides: Iterable[int]) -> Permutat
 
     Raises ValueError when no 231-avoider has this descent data, i.e. when
     the sets have different sizes or fail the sorted elementwise condition
-    des[l] <= ides[l].
+    des[l] <= ides[l].  The ascents and the descents take disjoint values
+    that cover 1..n, so the word is a permutation by construction and is
+    built unchecked; the two descent sets are asserted.
 
     >>> reconstruct_231(6, {1, 2, 4, 5}, {1, 3, 4, 5}).word
     (6, 2, 1, 5, 4, 3)
@@ -520,7 +530,7 @@ def reconstruct_231(n: int, des: Iterable[int], ides: Iterable[int]) -> Permutat
         unused.remove(picks[0])
         word[pos] = picks[0]
 
-    result = Permutation(tuple(word[1:]))
+    result = Permutation._of(tuple(word[1:]))
     assert _descents(result.word) == set(des_sorted)
     assert _descents(_inverse_word(result.word)) == set(ides_sorted)
     return result

@@ -11,13 +11,16 @@ by it yields ``j_involution`` on 321-avoiders.
 The tableaux that ``rsk``, ``evacuation`` and ``standard_tableaux`` build are
 valid by construction and skip the checks of the public constructor; the
 evacuation check of ``verify rsk-j`` puts each tableau of the stream and its
-image through those checks once.
+image through those checks once.  ``inverse_rsk`` places each entry of P
+once, so its permutation, and with it the image of ``j_involution``, is
+built unchecked too; ``verify rsk-j`` compares the round trip with the
+permutation it started from.
 """
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from operator import index
+from operator import index, ne
 from typing import Iterator
 
 from .errors import NotAvoiding321
@@ -72,11 +75,11 @@ class StandardTableau(_Frozen):
 
     @property
     def n(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return sum(map(len, self.rows))
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(r) for r in self.rows)
+        return tuple(map(len, self.rows))
 
     def __str__(self) -> str:
         return json.dumps([list(r) for r in self.rows], separators=(",", ":"))
@@ -123,19 +126,24 @@ def rsk(p: Permutation) -> tuple[StandardTableau, StandardTableau]:
 
 def inverse_rsk(P: StandardTableau, Q: StandardTableau) -> Permutation:
     """Recover the permutation from an equal-shape tableau pair by reverse
-    bumping, driven by Q's entries from largest to smallest."""
-    if P.shape != Q.shape:
+    bumping, driven by Q's entries from largest to smallest.
+
+    The largest entry k left in the standard tableau Q ends its row, so
+    reverse bumping starts at the end of P's row ``row_of[k]``.  The word
+    takes each entry of P once, so it is a permutation by construction,
+    built unchecked.
+    """
+    if len(P.rows) != len(Q.rows) or any(map(ne, map(len, P.rows), map(len, Q.rows))):
         raise ValueError(f"shapes differ: {P.shape} vs {Q.shape}")
-    n = P.n
     prows = [list(r) for r in P.rows]
-    cell = {}
+    n = sum(map(len, prows))
+    row_of = [0] * (n + 1)  # row_of[v]: the row of Q holding entry v
     for r, row in enumerate(Q.rows):
-        for c, v in enumerate(row):
-            cell[v] = (r, c)
+        for v in row:
+            row_of[v] = r
     word = [0] * n
     for k in range(n, 0, -1):
-        r, c = cell[k]
-        assert c == len(prows[r]) - 1, "Q entry positions must peel corners"
+        r = row_of[k]
         out = prows[r].pop()
         if not prows[r]:
             prows.pop()
@@ -144,16 +152,17 @@ def inverse_rsk(P: StandardTableau, Q: StandardTableau) -> Permutation:
             idx = bisect_left(row, out) - 1
             out, row[idx] = row[idx], out
         word[k - 1] = out
-    return Permutation(tuple(word))
+    return Permutation._of(tuple(word))
 
 
 def tableau_descents(T: StandardTableau) -> frozenset[int]:
     """Entries i whose successor i+1 sits in a strictly lower row."""
-    row_of = [0] * (T.n + 1)  # row_of[v]: the row holding entry v
+    n = T.n
+    row_of = [0] * (n + 1)  # row_of[v]: the row holding entry v
     for r, row in enumerate(T.rows):
         for v in row:
             row_of[v] = r
-    return frozenset(i for i in range(1, T.n) if row_of[i + 1] > row_of[i])
+    return frozenset(i for i in range(1, n) if row_of[i + 1] > row_of[i])
 
 
 def evacuation(T: StandardTableau) -> StandardTableau:

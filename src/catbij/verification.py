@@ -12,7 +12,8 @@ its row at that object, with ``raised <Type>: <message>`` as the
 counterexample; ``KeyboardInterrupt`` still ends the run.  Checks come
 back in row order.  What rows derive from one object (RSK pair, heights,
 descent data, phi image) sits behind a one-slot ``_memo`` that the suite
-builds when it runs.  A row may carry a fifth field, the note a passing
+builds when it runs; it is keyed by identity, as the rows of a group get
+the very same object.  A row may carry a fifth field, the note a passing
 check prints.  Three helpers build rows:
 
 - ``_holds`` turns a predicate into a test that reports ``str(x)``;
@@ -67,9 +68,22 @@ def _run(rows: Iterable[tuple]) -> list[Check]:
             for i, (name, _, _, _, *note) in enumerate(rows)]
 
 
-# One slot is enough: the rows of a group get each object in turn.  A suite
-# applies this when it runs, so each memo goes with the suite's run.
-_memo = functools.lru_cache(maxsize=1)
+def _memo(f: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """f behind a one-slot memo keyed by identity.  One slot is enough:
+    ``_run`` hands the same object to every row of a group in turn, so a
+    hit needs no hash and no equality test, and a miss only calls the pure
+    f again.  A suite applies this when it runs, so each memo goes with the
+    suite's run."""
+    last_x = last = object()  # no argument is this object
+
+    def memo(x):
+        nonlocal last_x, last
+        if x is not last_x:
+            last = f(x)
+            last_x = x
+        return last
+
+    return memo
 
 
 def _holds(law: Callable[[int, Any], bool]) -> Test:
@@ -390,7 +404,7 @@ def suite_rsk_j(n_max: int) -> list[Check]:
         return tableaux.tableau_descents(Q) == d.des and tableaux.tableau_descents(P) == d.ides
 
     def avoidance_is_two_rows(n: int, p: Permutation) -> bool:
-        return (len(rsk(p)[0].shape) <= 2) == permutations.avoids(p, _321)
+        return (len(rsk(p)[0].rows) <= 2) == permutations.avoids(p, _321)
 
     def standard(T: tableaux.StandardTableau) -> bool:
         """T passes the public constructor's checks; the stream and

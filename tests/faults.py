@@ -55,8 +55,8 @@ FAULTS = [
           "tests/test_dyck.py::TestValleys::test_invalid_valley_set_messages"),
     # tableau_descents counts a successor in the same row
     Fault("tableaux.py",
-          "    return frozenset(i for i in range(1, T.n) if row_of[i + 1] > row_of[i])",
-          "    return frozenset(i for i in range(1, T.n) if row_of[i + 1] >= row_of[i])",
+          "    return frozenset(i for i in range(1, n) if row_of[i + 1] > row_of[i])",
+          "    return frozenset(i for i in range(1, n) if row_of[i + 1] >= row_of[i])",
           "tests/test_tableaux.py::TestDescents::test_matches_the_dict_oracle"),
     # evacuation inserts the complemented reading word without reversing it
     Fault("tableaux.py",
@@ -85,6 +85,34 @@ FAULTS = [
           "            steps = steps[:j] + (EAST,) + (NORTH,) * (zeros + 1) + (EAST,) * (ones - 1)",
           "            steps = steps[:j] + (EAST,) + (NORTH,) * zeros + (EAST,) * (ones - 1)",
           "tests/test_dyck.py::TestEnumeration::test_walk_yields_what_the_checking_constructor_builds"),
+    # j skips evacuation from n = 8 on, past the S_n rows' cap and the
+    # default bar of rsk-j, so only a bar of 8 or more catches it
+    Fault("tableaux.py",
+          "    return inverse_rsk(evacuation(P), Q)",
+          "    return inverse_rsk(P if p.n >= 8 else evacuation(P), Q)",
+          "verify rsk-j 8"),
+    # the trusted constructors: each fault builds a value that the skipped
+    # check would reject, and the oracle rebuilds it through that check.
+    # reverse drops the first letter: Permutation._of wraps a short word
+    Fault("permutations.py",
+          "    return Permutation._of(p.word[::-1])",
+          "    return Permutation._of(p.word[:0:-1])",
+          "tests/test_bijections.py::TestTrustedConstruction::"
+          "test_rebuilds_through_the_checking_constructor[reverse]"),
+    # reflect swaps the letters without reversing: DyckPath._of wraps a word
+    # that starts below the diagonal
+    Fault("dyck.py",
+          "    return DyckPath._of(tuple(1 - s for s in reversed(D.steps)))",
+          "    return DyckPath._of(tuple(1 - s for s in D.steps))",
+          "tests/test_bijections.py::TestTrustedConstruction::"
+          "test_rebuilds_through_the_checking_constructor[reflect]"),
+    # valley_complement forgets the swap: ValleySet._of wraps xs >= ys, so
+    # from_valleys walks below the diagonal
+    Fault("dyck.py",
+          "    return from_valleys(ValleySet._of(D.n, xs, ys))",
+          "    return from_valleys(ValleySet._of(D.n, ys, xs))",
+          "tests/test_bijections.py::TestTrustedConstruction::"
+          "test_rebuilds_through_the_checking_constructor[valley_complement]"),
 ]
 
 

@@ -17,6 +17,7 @@ from catbij import (
     heights,
     identity,
     inverse,
+    inverse_rsk,
     j_involution,
     kappa,
     kappa_factored,
@@ -27,7 +28,9 @@ from catbij import (
     phi,
     phi_inv,
     psi_perm,
+    reflect,
     reverse,
+    rsk,
     trio_132_213,
     valley_complement,
     valleys,
@@ -265,3 +268,44 @@ class TestPreconditions:
                     bijection(p)
                 assert type(caught.value) is violation
                 assert str(caught.value) == str(violation(p.word))
+
+
+
+def _s1_to_s7():
+    return (p for n in range(1, 8) for p in all_perms(n))
+
+
+def _avoiders_to_9(pattern):
+    return lambda: (p for n in range(1, 10) for p in enumerate_avoiders(n, pattern))
+
+
+def _paths_to_9():
+    return (D for n in range(1, 10) for D in enumerate_dyck(n))
+
+
+#: each map that builds its value unchecked, by ``_of``, and its domain
+TRUSTED = {
+    "inverse": (inverse, _s1_to_s7),
+    "reverse": (reverse, _s1_to_s7),
+    "inverse_rsk": (lambda p: inverse_rsk(*rsk(p)), _s1_to_s7),
+    "phi_inv": (phi_inv, _paths_to_9),
+    "psi_perm": (psi_perm, _avoiders_to_9(231)),
+    "kappa": (kappa, _avoiders_to_9(132)),
+    "valleys": (valleys, _paths_to_9),
+    "from_valleys": (lambda D: from_valleys(valleys(D)), _paths_to_9),
+    "valley_complement": (valley_complement, _paths_to_9),
+    "reflect": (reflect, _paths_to_9),
+}
+
+
+class TestTrustedConstruction:
+    @pytest.mark.parametrize("name", TRUSTED)
+    def test_rebuilds_through_the_checking_constructor(self, name):
+        # the value, rebuilt through __init__, passes the checks and comes
+        # out equal; a list field where the constructor stores a tuple
+        # would compare unequal
+        image, domain = TRUSTED[name]
+        for x in domain():
+            y = image(x)
+            cls, fields = y.__reduce__()
+            assert y == cls(*fields)

@@ -737,8 +737,10 @@ class TestVerificationSuites:
     def test_all_checks_each_value_once(self, monkeypatch):
         # the pattern constants are parsed once, evacuation builds no
         # Permutation, and the kappa and rsk-j rows share one S_1..S_7,
-        # built once per run and let go when it returns
-        built, sizes = [], Counter()
+        # built once per run and let go when it returns; the maps build the
+        # values that are valid by construction unchecked, valley sets and
+        # the permutations of inverse RSK among them
+        built, sizes, valley_sets = [], Counter(), []
         post_init, permutations_of = Permutation.__post_init__, itertools.permutations
 
         def counting(values):
@@ -747,8 +749,10 @@ class TestVerificationSuites:
 
         monkeypatch.setattr(Permutation, "__post_init__", lambda p: built.append(post_init(p)))
         monkeypatch.setattr(verification.itertools, "permutations", counting)
+        monkeypatch.setattr(catbij.ValleySet, "__post_init__", lambda v: valley_sets.append(v))
         assert all(c.passed for c in run_suite("all", 7))
-        assert len(built) <= 28_000
+        assert len(built) <= 15_500
+        assert valley_sets == []
         assert sizes == Counter(range(1, 8))
         assert verification._perm_tables.get(None) is None
 

@@ -28,6 +28,7 @@ extends, it holds exactly the free values v that some avoider puts next:
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -178,6 +179,7 @@ class PermStats(NamedTuple):
 
 
 def _descents(word: Sequence[int]) -> frozenset[int]:
+    """Des of a word by a plain scan; the oracle of ``descent_data``."""
     return frozenset(i for i in range(1, len(word)) if word[i - 1] > word[i])
 
 
@@ -202,26 +204,45 @@ def reverse(p: Permutation) -> Permutation:
     return Permutation._of(p.word[::-1])
 
 
+#: the bound of the mask-to-set table: every mask of the bits 1..12, the
+#: default ceiling, fits, and longer words evict the least recently used sets
+_MASK_SETS = 1 << 13
+
+
+@lru_cache(maxsize=_MASK_SETS)
+def _mask_set(mask: int) -> frozenset[int]:
+    """The set of the bits of ``mask``; each set is built once and shared."""
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _descent_masks(word: Sequence[int]) -> tuple[int, int]:
+    """Des and iDes of a permutation word as bit masks, in one pass."""
+    des = ides = seen = prev = 0
+    for i, v in enumerate(word):
+        if v < prev:
+            des |= 1 << i
+        prev = v
+        if seen >> v & 2:  # v + 1 came before v: v is a descent of the inverse
+            ides |= 1 << v
+        seen |= 1 << v
+    return des, ides
+
+
 def descent_data(p: Permutation) -> DescentData:
     """All four descent/ascent sets, with n counted as an ascent.
+
+    The sets come from one table keyed by bit mask, so they are shared and
+    immutable: two calls may return the same frozenset objects.
 
     >>> d = descent_data(Permutation((6, 2, 1, 5, 4, 3)))
     >>> sorted(d.des), sorted(d.ides)
     ([1, 2, 4, 5], [1, 3, 4, 5])
     """
     w = p.word
-    n = len(w)
-    where = [0] * (n + 1)  # where[v]: the position of value v
-    for i, v in enumerate(w, start=1):
-        where[v] = i
-    des, ides = [], []
-    for i in range(1, n):
-        if w[i - 1] > w[i]:
-            des.append(i)
-        if where[i] > where[i + 1]:  # i + 1 sits left of i
-            ides.append(i)
-    full = frozenset(range(1, n + 1))
-    return DescentData(frozenset(des), full.difference(des), frozenset(ides), full.difference(ides))
+    des, ides = _descent_masks(w)
+    full = (2 << len(w)) - 2
+    return tuple.__new__(DescentData, (_mask_set(des), _mask_set(full ^ des),
+                                       _mask_set(ides), _mask_set(full ^ ides)))
 
 
 def perm_stats(p: Permutation) -> PermStats:
@@ -308,15 +329,17 @@ def contains(p: Permutation | Sequence[int], pattern) -> bool:
 
     A length-3 pattern is found in one pass: the word avoids it iff every
     value lies in the extension mask of the values before it.  The values
-    may be any distinct integers; values outside 1..n are first replaced by
-    their ranks.  Longer patterns use the naive scan.
+    may be any distinct integers: a Permutation's word is read as it is, and
+    other values outside 1..n are first replaced by their ranks.  Longer
+    patterns use the naive scan.
     """
-    word = p.word if isinstance(p, Permutation) else tuple(p)
+    ranked = isinstance(p, Permutation)  # a Permutation holds the values 1..n
+    word = p.word if ranked else tuple(p)
     pat = _pattern_word(pattern)
     extend = _EXTENSIONS.get(pat)
     if extend is None:
         return contains_naive(word, pat)
-    if word and (min(word) < 1 or max(word) > len(word)):
+    if not ranked and word and (min(word) < 1 or max(word) > len(word)):
         rank = {x: r for r, x in enumerate(sorted(word), start=1)}
         word = [rank[x] for x in word]
     used, free = 0, (2 << len(word)) - 2
@@ -531,6 +554,7 @@ def reconstruct_231(n: int, des: Iterable[int], ides: Iterable[int]) -> Permutat
         word[pos] = picks[0]
 
     result = Permutation._of(tuple(word[1:]))
-    assert _descents(result.word) == set(des_sorted)
-    assert _descents(_inverse_word(result.word)) == set(ides_sorted)
+    des_mask, ides_mask = _descent_masks(result.word)
+    assert _mask_set(des_mask) == set(des_sorted)
+    assert _mask_set(ides_mask) == set(ides_sorted)
     return result

@@ -24,7 +24,7 @@ from operator import index, ne
 from typing import Iterator
 
 from .errors import NotAvoiding321
-from .permutations import Permutation, _check_size, _Frozen, _require_avoids
+from .permutations import Permutation, _check_size, _Frozen, _mask_set, _require_avoids
 
 
 class StandardTableau(_Frozen):
@@ -156,13 +156,21 @@ def inverse_rsk(P: StandardTableau, Q: StandardTableau) -> Permutation:
 
 
 def tableau_descents(T: StandardTableau) -> frozenset[int]:
-    """Entries i whose successor i+1 sits in a strictly lower row."""
-    n = T.n
-    row_of = [0] * (n + 1)  # row_of[v]: the row holding entry v
-    for r, row in enumerate(T.rows):
+    """Entries i whose successor i+1 sits in a strictly lower row, as a set
+    shared through the mask table of ``descent_data``.
+
+    The rows are read from the bottom up: ``below`` masks the entries of the
+    rows already read, so an entry i of the current row is a descent exactly
+    when bit i + 1 of ``below`` is set.
+    """
+    des = below = 0
+    for row in reversed(T.rows):
+        entries = 0
         for v in row:
-            row_of[v] = r
-    return frozenset(i for i in range(1, n) if row_of[i + 1] > row_of[i])
+            entries |= 1 << v
+        des |= entries & below >> 1
+        below |= entries
+    return _mask_set(des)
 
 
 def evacuation(T: StandardTableau) -> StandardTableau:

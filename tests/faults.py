@@ -38,10 +38,16 @@ class Fault(NamedTuple):
 
 
 FAULTS = [
-    # descent_data: the inverse descents shifted by one
+    # descent_data: the inverse descents shifted by one place
     Fault("permutations.py",
-          "        if where[i] > where[i + 1]:  # i + 1 sits left of i",
-          "        if where[i - 1] > where[i]:  # i + 1 sits left of i",
+          "            ides |= 1 << v",
+          "            ides |= 2 << v",
+          "tests/test_permutations.py::TestDescentData::test_matches_the_two_pass_oracle"),
+    # the mask-to-set table that descent_data and tableau_descents share
+    # drops the top bit of every mask
+    Fault("permutations.py",
+          "    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)",
+          "    return frozenset(i for i in range(mask.bit_length() - 1) if mask >> i & 1)",
           "tests/test_permutations.py::TestDescentData::test_matches_the_two_pass_oracle"),
     # the step builder that phi and from_valleys share, with x and y swapped
     Fault("dyck.py",
@@ -55,8 +61,8 @@ FAULTS = [
           "tests/test_dyck.py::TestValleys::test_invalid_valley_set_messages"),
     # tableau_descents counts a successor in the same row
     Fault("tableaux.py",
-          "    return frozenset(i for i in range(1, n) if row_of[i + 1] > row_of[i])",
-          "    return frozenset(i for i in range(1, n) if row_of[i + 1] >= row_of[i])",
+          "        des |= entries & below >> 1",
+          "        des |= entries & (below | entries) >> 1",
           "tests/test_tableaux.py::TestDescents::test_matches_the_dict_oracle"),
     # evacuation inserts the complemented reading word without reversing it
     Fault("tableaux.py",

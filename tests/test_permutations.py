@@ -35,9 +35,10 @@ from catbij import (
     perm_stats,
     reconstruct_231,
     reverse,
+    tableau_descents,
     tristat_gf,
 )
-from catbij.permutations import _EXTENSIONS, _descents, _inverse_word, _pattern_word
+from catbij.permutations import _EXTENSIONS, _MASK_SETS, _descents, _inverse_word, _mask_set, _pattern_word
 from catbij.verification import Check
 from conftest import CATALAN, FIGURE_PAIRS, all_perms, permutations_st
 
@@ -117,6 +118,20 @@ class TestDescentData:
             for w in itertools.permutations(range(1, n + 1)):
                 des, ides = _descents(w), _descents(_inverse_word(w))
                 assert descent_data(Permutation(w)) == (des, (full - des) | {n}, ides, (full - ides) | {n})
+
+    def test_long_words_past_the_mask_table(self):
+        # masks wider than the table's 13 bits: the descending word of length
+        # 64 and 7i mod 41 for i = 1..40, against the two-pass oracle, and a
+        # one-row and a one-column tableau of 40 cells
+        for w in (tuple(range(64, 0, -1)), tuple(7 * i % 41 for i in range(1, 41))):
+            n = len(w)
+            full = frozenset(range(1, n))
+            des, ides = _descents(w), _descents(_inverse_word(w))
+            assert descent_data(Permutation(w)) == (des, (full - des) | {n}, ides, (full - ides) | {n})
+        assert tableau_descents(StandardTableau((tuple(range(1, 41)),))) == set()
+        assert tableau_descents(StandardTableau(tuple((v,) for v in range(1, 41)))) == set(range(1, 40))
+        table = _mask_set.cache_info()
+        assert table.currsize <= table.maxsize == _MASK_SETS
 
     @given(permutations_st())
     def test_last_position_always_an_ascent(self, p):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from operator import index, ne
+from operator import ge, index, ne
 from typing import Iterator
 
 from .errors import NotAvoiding321
@@ -57,12 +57,12 @@ class StandardTableau(_Frozen):
         if sorted(v for r in rows for v in r) != list(range(1, n + 1)):
             raise ValueError(f"entries must be exactly 1..{n}")
         for r in rows:
-            if any(a >= b for a, b in zip(r, r[1:])):
+            if any(map(ge, r, r[1:])):
                 raise ValueError(f"row not strictly increasing: {r}")
         for upper, lower in zip(rows, rows[1:]):
             if len(lower) > len(upper):
                 raise ValueError("row lengths must weakly decrease")
-            if any(upper[c] >= lower[c] for c in range(len(lower))):
+            if any(map(ge, upper, lower)):  # map stops at the shorter row, lower
                 raise ValueError("columns must strictly increase")
 
     def __eq__(self, other):

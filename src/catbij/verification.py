@@ -13,8 +13,10 @@ counterexample; ``KeyboardInterrupt`` still ends the run.  Checks come
 back in row order.  What rows derive from one object (RSK pair, heights,
 descent data, phi image) sits behind a one-slot ``_memo`` that the suite
 builds when it runs; it is keyed by identity, as the rows of a group get
-the very same object.  A row may carry a fifth field, the note a passing
-check prints.  Three helpers build rows:
+the very same object.  The domains S_n and the avoiders of each class are
+built once per ``run_suite`` call into one table, ``_perm_tables``, which
+``verify all`` shares among its suites.  A row may carry a fifth field, the
+note a passing check prints.  Three helpers build rows:
 
 - ``_holds`` turns a predicate into a test that reports ``str(x)``;
 - ``_per_n`` checks one identity per size on the domain ``(n,)`` and reports
@@ -53,17 +55,20 @@ def _run(rows: Iterable[tuple]) -> list[Check]:
         groups.setdefault((bar, domain), []).append((i, test))
     first: dict[int, str] = {}  # row index -> its smallest counterexample
     for (bar, domain), live in groups.items():
+        failed = len(first)
         for n, x in ((n, x) for n in range(1, bar + 1) for x in domain(n)):
-            for i, test in tuple(live):
+            for i, test in live:
                 try:
                     failure = test(n, x)
                 except Exception as exc:  # a row that raises fails at this object
                     failure = f"raised {type(exc).__name__}: {exc}"
                 if failure is not None:
                     first[i] = failure
-                    live.remove((i, test))
-            if not live:
-                break
+            if len(first) > failed:  # some rows failed at x; the rest walk on
+                live = [row for row in live if row[0] not in first]
+                if not live:
+                    break
+                failed = len(first)
     return [Check(name, False, f"counterexample: {first[i]}") if i in first else Check(name, True, *note)
             for i, (name, _, _, _, *note) in enumerate(rows)]
 
@@ -102,26 +107,49 @@ def _fact(name: str, failure: Callable[[], str | None], *note: str) -> tuple:
     return (name, 1, _size, lambda n, _: failure(), *note)
 
 
-def _avoiders(pattern, max_n: int) -> Callable[[int], Iterator[Permutation]]:
-    return lambda n: permutations.enumerate_avoiders(n, pattern, max_n=max_n)
-
-
 #: the length-3 patterns the rows name, parsed once
 _123, _132, _231, _312, _321 = map(Permutation, ((1, 2, 3), (1, 3, 2), (2, 3, 1), (3, 1, 2), (3, 2, 1)))
 
 #: the last n at which a check ranges over all of S_n (5,040 permutations)
 _ALL_PERMS_MAX_N = 7
 
-#: S_n for each n walked so far, kept by ``run_suite`` for the length of its
-#: call: at most S_1..S_7, 5,913 permutations
-_perm_tables: ContextVar[dict[int, tuple[Permutation, ...]]] = ContextVar("_perm_tables")
+#: the last n at which a run keeps the avoiders of a class (Cat_9 = 4,862);
+#: a larger n is walked fresh by each domain.  ``verify all 10`` peaked at
+#: 31.9-32.0 MiB RSS with this cap, 26.3 MiB with no avoider tables and
+#: 46.5 MiB with no cap (2-vCPU Xeon VM, Python 3.11.7, started from a
+#: ``python -S`` parent that reads the peak from ``os.wait4``)
+_AVOIDERS_MAX_N = 9
+
+#: the domains walked so far, kept by ``run_suite`` for the length of its
+#: call: S_n under the key n, at most S_1..S_7 (5,913 permutations), and the
+#: avoiders of size n of a pattern under the key (pattern word, n), for
+#: n <= _AVOIDERS_MAX_N (6,917 per class)
+_perm_tables: ContextVar[dict[Any, tuple[Permutation, ...]]] = ContextVar("_perm_tables")
+
+
+def _shared(key, build: Callable[[], Iterable[Permutation]]) -> Iterator[Permutation]:
+    """The run's entry under ``key``, built on its first use."""
+    table = _perm_tables.get({})
+    if key not in table:
+        table[key] = tuple(build())
+    return iter(table[key])
 
 
 def _all_perms(n: int) -> Iterator[Permutation]:
-    table = _perm_tables.get({})
-    if n not in table:
-        table[n] = tuple(map(Permutation, itertools.permutations(range(1, n + 1))))
-    return iter(table[n])
+    return _shared(n, lambda: map(Permutation, itertools.permutations(range(1, n + 1))))
+
+
+def _avoiders(pattern, max_n: int) -> Callable[[int], Iterator[Permutation]]:
+    """The domain of the avoiders of ``pattern``.  Up to _AVOIDERS_MAX_N,
+    the first use of a size in a run walks ``enumerate_avoiders`` into the
+    run's table, and every later use, from any suite, reads that entry."""
+    word = permutations._pattern_word(pattern)
+
+    def domain(n: int) -> Iterator[Permutation]:
+        walk = functools.partial(permutations.enumerate_avoiders, n, pattern, max_n=max_n)
+        return walk() if n > _AVOIDERS_MAX_N else _shared((word, n), walk)
+
+    return domain
 
 
 def _catalan(n: int) -> int:
@@ -191,8 +219,9 @@ def suite_lemmas(n_max: int) -> list[Check]:
     def pattern_major(_) -> Iterator[tuple]:
         # pattern-major: every n for one pattern before the next, so the row runs once, at bar 1
         patterns = ((1, 3, 2), (2, 3, 1), (3, 1, 2), (2, 1, 3))
+        domains = [(pat, _avoiders(pat, n_max)) for pat in patterns]
         sizes = range(1, n_max + 1)
-        return ((pat, p) for pat in patterns for n in sizes for p in _avoiders(pat, n_max)(n))
+        return ((pat, p) for pat, domain in domains for n in sizes for p in domain(n))
 
     def des_counts_match(_, pair: tuple) -> str | None:
         pattern, p = pair

@@ -1,4 +1,5 @@
 import contextlib
+import contextvars
 import csv
 import io
 import itertools
@@ -736,24 +737,59 @@ class TestVerificationSuites:
 
     def test_all_checks_each_value_once(self, monkeypatch):
         # the pattern constants are parsed once, evacuation builds no
-        # Permutation, and the kappa and rsk-j rows share one S_1..S_7,
+        # Permutation, the kappa and rsk-j rows share one S_1..S_7, and
+        # every suite shares one walk of each avoider class per size, all
         # built once per run and let go when it returns; the maps build the
         # values that are valid by construction unchecked, valley sets and
         # the permutations of inverse RSK among them
-        built, sizes, valley_sets = [], Counter(), []
+        built, sizes, walks, valley_sets = [], Counter(), Counter(), []
         post_init, permutations_of = Permutation.__post_init__, itertools.permutations
+        enumerate_avoiders = permutations.enumerate_avoiders
 
         def counting(values):
             sizes[len(values)] += 1
             return permutations_of(values)
 
+        def walking(n, pattern, max_n):
+            walks[permutations._pattern_word(pattern), n] += 1
+            return enumerate_avoiders(n, pattern, max_n)
+
         monkeypatch.setattr(Permutation, "__post_init__", lambda p: built.append(post_init(p)))
         monkeypatch.setattr(verification.itertools, "permutations", counting)
+        monkeypatch.setattr(permutations, "enumerate_avoiders", walking)
         monkeypatch.setattr(catbij.ValleySet, "__post_init__", lambda v: valley_sets.append(v))
         assert all(c.passed for c in run_suite("all", 7))
-        assert len(built) <= 15_500
+        assert len(built) <= 11_700
         assert valley_sets == []
         assert sizes == Counter(range(1, 8))
+        classes = [(1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
+        assert walks == Counter((word, n) for word in classes for n in range(1, 8))
+        assert verification._perm_tables.get(None) is None
+
+    def test_avoider_table_matches_fresh_walks(self):
+        # at every bar up to the cap, each class's domain yields the lex
+        # stream of enumerate_avoiders, whether it fills its entry or reads
+        # it; every class is read after another class's entry of the same
+        # size exists, a pattern given as a Permutation and as a tuple share
+        # one entry, and a size above the cap is walked fresh, not stored
+        classes = [(2, 3, 1), (1, 3, 2), (3, 1, 2), (2, 1, 3), (3, 2, 1)]
+        cap = verification._AVOIDERS_MAX_N
+        fresh = {(word, n): list(enumerate_avoiders(n, word)) for word in classes for n in range(1, cap + 1)}
+
+        def read_at_every_bar():
+            table = {}
+            verification._perm_tables.set(table)
+            for bar in range(1, cap + 1):
+                for word in classes:
+                    domain = verification._avoiders(Permutation(word) if bar % 2 else word, bar)
+                    for n in range(1, bar + 1):
+                        assert list(domain(n)) == fresh[word, n], (word, n, bar)
+            above = verification._avoiders((2, 3, 1), cap + 1)(cap + 1)
+            assert next(above) == next(enumerate_avoiders(cap + 1, 231))
+            return table
+
+        table = contextvars.copy_context().run(read_at_every_bar)
+        assert table == {key: tuple(avoiders) for key, avoiders in fresh.items()}
         assert verification._perm_tables.get(None) is None
 
     def test_j_image_leaving_the_class_is_reported(self, monkeypatch):

@@ -10,10 +10,12 @@ Conventions used throughout the package:
   and is load-bearing: every descent block is followed by an ascent.
 - ``ides``/``imaj`` are the descent set / major index of the inverse.
 
-Pattern containment has one test for the six patterns of length 3, the
-extension mask ``_EXTENSIONS[pattern](used, free)``: read in O(1) from the
-bit masks of the placed and the free values of a prefix that some avoider
-extends, it holds exactly the free values v that some avoider puts next:
+Pattern containment has one rule for every pattern, the extension mask
+``_extension(pattern, word)(used, free)``.  Given the bit masks of the
+placed and the free values of a prefix of ``word`` that some avoider
+extends, it holds every free value that some avoider puts next and no free
+value that ends a copy of the pattern.  A length-3 pattern reads it in O(1)
+from ``_EXTENSIONS``, where it holds exactly the values avoiders put next:
 
     123: v < min(used), or v = max(free)
     321: v > max(used), or v = min(free)
@@ -22,15 +24,16 @@ extends, it holds exactly the free values v that some avoider puts next:
     231: the lowest run of consecutive free values
     213: the highest run of consecutive free values
 
-``contains`` and the avoider stream both use it; the naive scan
-``contains_naive`` works for any pattern length and is the oracle.
+Any other pattern tests each free value against the copies it would end,
+and keeps exactly those that end none.  ``contains`` and the avoider stream
+both use the mask; the naive scan ``contains_naive`` is the oracle.
 """
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
 from operator import index
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CeilingExceeded, NotAvoiding132, NotAvoiding231, NotAvoiding312, NotAvoiding321
 
@@ -309,6 +312,31 @@ _EXTENSIONS = {
 }
 
 
+def _extension(pat: tuple[int, ...], word: Sequence[int]) -> Callable[[int, int], int]:
+    """The module docstring's extension mask for the pattern word ``pat``,
+    as a function of (used, free): ``used`` marks the first
+    ``used.bit_count()`` letters of ``word`` and ``free`` the values not
+    among them.
+
+    A length-3 pattern reads its ``_EXTENSIONS`` entry.  Any other tests each
+    free v only against the copies it would end, as the prefix avoids the
+    pattern: the shorter subsequences of the prefix followed by v.  ``word``
+    is read at each call, so a list may grow between calls.
+    """
+    extend = _EXTENSIONS.get(pat)
+    if extend is not None:
+        return extend
+    places = range(len(pat))
+    rank = tuple(sorted(places, key=pat.__getitem__))
+
+    def scan(used: int, free: int) -> int:
+        heads = list(itertools.combinations(word[:used.bit_count()], len(pat) - 1))
+        return sum(1 << v for v in range(free.bit_length()) if free >> v & 1 and not any(
+            tuple(sorted(places, key=(*head, v).__getitem__)) == rank for head in heads))
+
+    return scan
+
+
 def contains_naive(p: Permutation | Sequence[int], pattern) -> bool:
     """Oracle: scan all length-k subsequences for an order-isomorphic copy."""
     word = p.word if isinstance(p, Permutation) else tuple(p)
@@ -327,21 +355,18 @@ def contains_naive(p: Permutation | Sequence[int], pattern) -> bool:
 def contains(p: Permutation | Sequence[int], pattern) -> bool:
     """True iff some subsequence of p is order-isomorphic to the pattern.
 
-    A length-3 pattern is found in one pass: the word avoids it iff every
-    value lies in the extension mask of the values before it.  The values
-    may be any distinct integers: a Permutation's word is read as it is, and
-    other values outside 1..n are first replaced by their ranks.  Longer
-    patterns use the naive scan.
+    The word is read in one pass: it avoids the pattern iff every value lies
+    in the extension mask of the values before it.  The values may be any
+    distinct integers: a Permutation's word is read as it is, and other
+    values outside 1..n are first replaced by their ranks.
     """
     ranked = isinstance(p, Permutation)  # a Permutation holds the values 1..n
     word = p.word if ranked else tuple(p)
     pat = _pattern_word(pattern)
-    extend = _EXTENSIONS.get(pat)
-    if extend is None:
-        return contains_naive(word, pat)
     if not ranked and word and (min(word) < 1 or max(word) > len(word)):
         rank = {x: r for r, x in enumerate(sorted(word), start=1)}
         word = [rank[x] for x in word]
+    extend = _extension(pat, word)
     used, free = 0, (2 << len(word)) - 2
     for v in word:
         bit = 1 << v
@@ -388,12 +413,11 @@ def avoiders_with_stats(
     loop: position k resumes after ``tried[k]``, the last value tried there,
     and a position with no value left backtracks.
 
-    For a length-3 pattern ``masks[k]`` is the extension mask of the first
-    k values, so no branch dies, no candidate is rejected, and the last free
-    value is yielded at depth n - 1 without a test.  Other patterns test
-    each free v only against the copies it would end, as the prefix avoids:
-    the shorter subsequences of the prefix followed by v.  A bad pattern is
-    reported before a bad size.
+    ``masks[k]`` is the extension mask of the first k values (see
+    ``_extension``): the walk tries no value that ends a copy, and for a
+    length-3 pattern no branch dies.  At depth n - 1 the one free value
+    ends an avoider iff ``masks[n - 1]`` holds it, as a length-3 mask
+    always does.  A bad pattern is reported before a bad size.
 
     ``sums[k]`` holds (des, maj, imaj, inv) of the first k values, so a row's
     statistics cost one step from its parent prefix, taken as in
@@ -404,67 +428,43 @@ def avoiders_with_stats(
     """
     pat = _pattern_word(pattern)
     _check_size(n, max_n)
-    extend = _EXTENSIONS.get(pat)
-    masked = extend is not None
-    places = range(len(pat))
-    rank = tuple(sorted(places, key=pat.__getitem__))
-    leaf = n - 1 if masked else n  # the depth at which the walk yields
 
     def walk() -> Iterator[tuple[Permutation, PermStats]]:
         prefix: list[int] = []
+        extend = _extension(pat, prefix)
         full = free = (2 << n) - 2
-        masks = [full] * (n + 1)
-        tried = [0] * (n + 1)
-        sums = [(0, 0, 0, 0)] * (n + 1)
+        masks = [extend(0, full)] * n
+        tried = [0] * n
+        sums = [(0, 0, 0, 0)] * n
         new = tuple.__new__  # builds PermStats without its keyword-parsing __new__
         while True:
             k = len(prefix)
-            if k < leaf:
-                rest = (masks[k] if masked else free) & -(2 << tried[k])
-            else:
-                des, maj, imaj, inv = sums[k]
-                if masked:
-                    # append the one free value u: every larger value, u + 1
-                    # among them, came earlier
-                    u = free.bit_length() - 1
-                    if k and u < prefix[-1]:
-                        des += 1
-                        maj += k
-                    if u < n:
-                        imaj += u
-                    inv += n - u
-                    word = (*prefix, u)
-                else:
-                    word = tuple(prefix)
-                yield Permutation(word), new(PermStats, (des, n - des, maj, imaj, inv))
-                rest = 0
-            while rest:
+            rest = masks[k] & -(2 << tried[k])
+            if rest:
                 bit = rest & -rest
-                rest ^= bit
                 v = bit.bit_length() - 1
-                if masked or not any(tuple(sorted(places, key=(*head, v).__getitem__)) == rank
-                                     for head in itertools.combinations(prefix, len(pat) - 1)):
-                    break
-            else:
-                if not prefix:
-                    return
-                tried[k] = 0
-                free |= 1 << prefix.pop()
-                continue
-            des, maj, imaj, inv = sums[k]
-            if k and v < prefix[-1]:
-                des += 1
-                maj += k
-            used = full ^ free
-            above = used >> v  # bit j set iff v + j came earlier
-            if above & 2:
-                imaj += v
-            sums[k + 1] = (des, maj, imaj, inv + above.bit_count())
-            tried[k] = v
-            prefix.append(v)
-            free ^= bit
-            if masked:
-                masks[k + 1] = extend(used | bit, free)
+                des, maj, imaj, inv = sums[k]
+                if k and v < prefix[-1]:
+                    des += 1
+                    maj += k
+                used = full ^ free
+                above = used >> v  # bit j set iff v + j came earlier
+                if above & 2:
+                    imaj += v
+                inv += above.bit_count()
+                if k < n - 1:
+                    sums[k + 1] = (des, maj, imaj, inv)
+                    tried[k] = v
+                    prefix.append(v)
+                    free ^= bit
+                    masks[k + 1] = extend(used | bit, free)
+                    continue
+                # v is the one free value, and it ends no copy
+                yield Permutation((*prefix, v)), new(PermStats, (des, n - des, maj, imaj, inv))
+            if not prefix:
+                return
+            tried[k] = 0
+            free |= 1 << prefix.pop()
 
     return walk()
 
@@ -513,15 +513,16 @@ def reconstruct_231(n: int, des: Iterable[int], ides: Iterable[int]) -> Permutat
     scanned right to left, takes the smallest still-unused value exceeding its
     right neighbour.
 
-    Raises ValueError when no 231-avoider has this descent data, i.e. when
-    the sets have different sizes or fail the sorted elementwise condition
-    des[l] <= ides[l].  The ascents and the descents take disjoint values
-    that cover 1..n, so the word is a permutation by construction and is
-    built unchecked; the two descent sets are asserted.
+    Raises ValueError when n < 1 or no 231-avoider has this descent data,
+    i.e. when the sets have different sizes or fail the sorted elementwise
+    condition des[l] <= ides[l].  The ascents and the descents take disjoint
+    values that cover 1..n, so the word is a permutation by construction and
+    is built unchecked; the two descent sets are asserted.
 
     >>> reconstruct_231(6, {1, 2, 4, 5}, {1, 3, 4, 5}).word
     (6, 2, 1, 5, 4, 3)
     """
+    _check_size(n)
     des_sorted = sorted(set(des))
     ides_sorted = sorted(set(ides))
     if len(des_sorted) != len(ides_sorted):

@@ -38,7 +38,7 @@ from catbij import (
     tableau_descents,
     tristat_gf,
 )
-from catbij.permutations import _EXTENSIONS, _MASK_SETS, _descents, _inverse_word, _mask_set, _pattern_word
+from catbij.permutations import _MASK_SETS, _descents, _extension, _inverse_word, _mask_set, _pattern_word
 from catbij.verification import Check
 from conftest import CATALAN, FIGURE_PAIRS, all_perms, permutations_st
 
@@ -197,7 +197,7 @@ class TestPatterns:
     def test_pattern_longer_than_word(self):
         assert avoids(Permutation((2, 1)), (2, 3, 1))
 
-    @pytest.mark.parametrize("pattern", [132, 231, 312, 213, 123, 321])
+    @pytest.mark.parametrize("pattern", [132, 231, 312, 213, 123, 321, 1, 12, 21, 1342, 2413, 24153])
     def test_fast_equals_naive_exhaustively(self, pattern):
         for n in range(1, 8):
             for p in all_perms(n):
@@ -209,7 +209,7 @@ class TestPatterns:
         assert contains(p, pattern) == contains_naive(p, pattern)
 
     @given(st.lists(st.integers(-10**12, 10**12), max_size=9, unique=True),
-           st.sampled_from([132, 231, 312, 213, 123, 321]))
+           st.sampled_from([132, 231, 312, 213, 123, 321, 1, 12, 21, 1342, 2413, 24153]))
     def test_fast_accepts_any_distinct_values(self, word, pattern):
         assert contains(word, pattern) == contains_naive(word, pattern)
 
@@ -296,16 +296,22 @@ class TestEnumeration:
         ids=lambda pattern: "".join(map(str, pattern)),
     )
     def test_stream_is_the_lex_filter_of_the_oracle(self, pattern):
-        # length 3 takes the extension-mask route, every other length the test
-        # of the copies a new value would end
+        # every pattern walks by its extension mask: length 3 reads
+        # _EXTENSIONS, every other length tests the copies a new value would end
         top = {3: 8, 4: 7, 5: 7}.get(len(pattern), 6)
         for n, want in naive_avoiders(pattern, top):
             assert [p.word for p in enumerate_avoiders(n, pattern)] == want
 
-    @pytest.mark.parametrize("pattern", [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)],
-                             ids=lambda pattern: "".join(map(str, pattern)))
+    @pytest.mark.parametrize(
+        "pattern",
+        [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1), (1, 3, 4, 2), (2, 4, 1, 3),
+         (2, 4, 1, 5, 3), (1,), (1, 2), (2, 1)],
+        ids=lambda pattern: "".join(map(str, pattern)),
+    )
     def test_extension_mask_is_the_set_of_values_an_avoider_puts_next(self, pattern):
-        # every prefix of an avoider, with the values that avoiders put after it
+        # every prefix of an avoider, with the values that avoiders put after
+        # it; past length 3 the mask also keeps the values that lead only to
+        # dead ends, so it holds every free value that ends no copy
         for n, avoiders in naive_avoiders(pattern, 7):
             nexts: dict[tuple, set] = {}
             for w in avoiders:
@@ -313,8 +319,11 @@ class TestEnumeration:
                     nexts.setdefault(w[:k], set()).add(w[k])
             full = (2 << n) - 2
             for prefix, values in nexts.items():
+                if len(pattern) != 3:
+                    values = {v for v in range(1, n + 1)
+                              if v not in prefix and not contains_naive((*prefix, v), pattern)}
                 used = sum(1 << x for x in prefix)
-                assert _EXTENSIONS[pattern](used, full ^ used) == sum(1 << v for v in values), prefix
+                assert _extension(pattern, prefix)(used, full ^ used) == sum(1 << v for v in values), prefix
 
     @pytest.mark.parametrize("pattern", [123, 132, 213, 231, 312, 321])
     def test_length_3_pattern_builds_one_permutation_per_avoider(self, monkeypatch, pattern):
@@ -343,8 +352,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("pattern", [123, 132, 213, 231, 312, 321, 2413, 1, 12, 21])
     def test_carried_stats_are_perm_stats(self, pattern):
-        # length 3 takes the masked walk, whose leaf appends the forced last
-        # value (at n = 1 with no value before it); the rest the unmasked one
+        # the leaf appends the one free value (at n = 1 with no value before
+        # it); length 3 reads its masks from _EXTENSIONS, the rest scans
         top = 9 if 100 < pattern < 1000 else 7
         for n in range(1, top + 1):
             rows = list(avoiders_with_stats(n, pattern))
@@ -561,6 +570,11 @@ class TestReconstruct:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="1..n-1"):
             reconstruct_231(3, {3}, {3})
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_size_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            reconstruct_231(n, (), ())
 
 
 class TestClassInvariants:

@@ -13,7 +13,7 @@ determine the path (``valleys`` / ``from_valleys`` below).
 from __future__ import annotations
 
 import json
-from operator import ge, gt, index
+from operator import add, ge, gt, index
 from typing import Iterator, NamedTuple
 
 from .errors import NonBinaryCharacter, PrefixViolation, UnbalancedCounts
@@ -72,14 +72,6 @@ class DyckPath(_Frozen):
             else:
                 raise PrefixViolation(f"prefix of length {i} dips below the diagonal")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.steps == other.steps
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.steps,))
-
     @property
     def n(self) -> int:
         return len(self.steps) // 2
@@ -114,20 +106,12 @@ class PathStats(NamedTuple):
 def path_stats(D: DyckPath) -> PathStats:
     """Descent positions, their sum, and the per-letter prefix-count splits.
 
-    maj0 (resp. maj1) sums, over all descents i, the number of 0's (resp.
-    1's) among the first i letters: the y (resp. x) of the valley at i.
+    Each valley (x, y) of ``valleys`` is the descent at x + y, with x 1's and
+    y 0's among the letters before it, so maj1 = sum(x) and maj0 = sum(y).
     """
-    steps = D.steps
-    des = []
-    maj1 = easts = 0
-    for i, s in enumerate(steps[:-1], start=1):
-        if s == EAST:
-            easts += 1
-            if steps[i] == NORTH:
-                des.append(i)
-                maj1 += easts
-    maj = sum(des)
-    return PathStats(frozenset(des), maj, maj - maj1, maj1)
+    v = valleys(D)
+    maj0, maj1 = sum(v.ys), sum(v.xs)
+    return PathStats(frozenset(map(add, v.xs, v.ys)), maj0 + maj1, maj0, maj1)
 
 
 class ValleySet(_Frozen):
@@ -176,14 +160,6 @@ class ValleySet(_Frozen):
                 raise ValueError(f"coordinates must strictly increase: {seq}")
         if any(map(gt, xs, ys)):
             raise ValueError(f"need xs[l] <= ys[l] elementwise (path above diagonal): {xs} vs {ys}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.xs, self.ys) == (other.n, other.xs, other.ys)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n, self.xs, self.ys))
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "xs": list(self.xs), "ys": list(self.ys)})

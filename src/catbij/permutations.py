@@ -24,15 +24,21 @@ from ``_EXTENSIONS``, where it holds exactly the values avoiders put next:
     231: the lowest run of consecutive free values
     213: the highest run of consecutive free values
 
-Any other pattern tests each free value against the copies it would end,
-and keeps exactly those that end none.  ``contains`` and the avoider stream
-both use the mask; the naive scan ``contains_naive`` is the oracle.
+Any other pattern keeps exactly the free values that end no copy.  A free
+v ends a copy iff some head, a subsequence of the prefix order-isomorphic
+to ``pattern[:-1]``, has v strictly between its ``below``-th and
+``(below + 1)``-th smallest values, where ``below`` counts the letters of
+``pattern[:-1]`` under ``pattern[-1]`` and 0 and n + 1 stand in for missing
+neighbours; each head is tested once.  The table above holds no value this
+rule bans, and drops the values that lead only to dead ends as well.
+``contains`` and the avoider stream both use the mask; the naive scan
+``contains_naive`` is the oracle.
 """
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import index
+from operator import attrgetter, index
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CeilingExceeded, NotAvoiding132, NotAvoiding231, NotAvoiding312, NotAvoiding321
@@ -57,19 +63,35 @@ def _check_size(n: int, max_n: int | None = None) -> None:
 
 
 class _Frozen:
-    """The cold methods of the slotted value types.
+    """The value-type contract of the slotted value types.
 
-    A subclass names its fields, in order, in ``__slots__``; its
+    A subclass names its fields, in order, in ``__slots__``, and its
     ``__init__`` sets each one with ``object.__setattr__`` and then calls
-    ``self.__post_init__()``, and it writes out its own ``__eq__`` (same
-    class only) and ``__hash__`` (the hash of the field tuple).  This base
-    refuses assignment and deletion, prints ``Type(field=value, ...)`` and
-    copies and pickles through the public constructor.  Every subclass
-    stores its integer fields as ints: a bool becomes 0 or 1, and any other
-    non-integer raises ValueError.
+    ``self.__post_init__()``.  This base gives equality (same class only,
+    equal fields) and the hash of the field tuple, refuses assignment and
+    deletion, prints ``Type(field=value, ...)`` and copies and pickles
+    through the public constructor.  Every subclass stores its integer
+    fields as ints: a bool becomes 0 or 1, and any other non-integer raises
+    ValueError.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # built once per class: _read returns the bare value of a one-field
+        # type and the field tuple of any other, _astuple always the tuple
+        get = attrgetter(*cls.__slots__)
+        cls._read = staticmethod(get)
+        cls._astuple = staticmethod(get if len(cls.__slots__) > 1 else lambda value: (get(value),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._read(self) == self._read(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -78,11 +100,11 @@ class _Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._astuple(self)))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), self._astuple(self)
 
 
 class Permutation(_Frozen):
@@ -119,14 +141,6 @@ class Permutation(_Frozen):
             raise ValueError("permutation must have length at least 1")
         if sorted(word) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {list(word)}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.word == other.word
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.word,))
 
     @property
     def n(self) -> int:
@@ -318,28 +332,52 @@ def _extension(pat: tuple[int, ...], word: Sequence[int]) -> Callable[[int, int]
     ``used.bit_count()`` letters of ``word`` and ``free`` the values not
     among them.
 
-    A length-3 pattern reads its ``_EXTENSIONS`` entry.  Any other tests each
-    free v only against the copies it would end, as the prefix avoids the
-    pattern: the shorter subsequences of the prefix followed by v.  ``word``
+    A length-3 pattern reads its ``_EXTENSIONS`` entry.  Any other tests
+    each head, a subsequence of the prefix as long as ``pat[:-1]``, once: a
+    head with the shape of ``pat[:-1]`` bans the free values strictly
+    between its ``below``-th and ``(below + 1)``-th smallest values, where
+    ``below`` counts the letters of ``pat[:-1]`` under ``pat[-1]`` and 0
+    and the top value n + 1 stand in for the missing neighbours.  ``word``
     is read at each call, so a list may grow between calls.
     """
     extend = _EXTENSIONS.get(pat)
     if extend is not None:
         return extend
-    places = range(len(pat))
-    rank = tuple(sorted(places, key=pat.__getitem__))
+    head = pat[:-1]
+    rank = sorted(range(len(head)), key=head.__getitem__)  # head's places, by value
+    below = sum(x < pat[-1] for x in head)
 
     def scan(used: int, free: int) -> int:
-        heads = list(itertools.combinations(word[:used.bit_count()], len(pat) - 1))
-        return sum(1 << v for v in range(free.bit_length()) if free >> v & 1 and not any(
-            tuple(sorted(places, key=(*head, v).__getitem__)) == rank for head in heads))
+        top = (used | free).bit_length()
+        banned = 0
+        for letters in itertools.combinations(word[:used.bit_count()], len(head)):
+            values = sorted(letters)
+            if values == [*map(letters.__getitem__, rank)]:  # the shape of pat[:-1]
+                values = [0, *values, top]
+                banned |= (1 << values[below + 1]) - (2 << values[below])
+        return free & ~banned
 
     return scan
 
 
+def _word(p: Permutation | Sequence[int]) -> tuple[int, ...]:
+    """The word of a Permutation as it is; any other input's entries as
+    ints (a bool becomes 0 or 1), which must be distinct.  Any other input
+    raises ValueError naming it."""
+    if isinstance(p, Permutation):
+        return p.word
+    try:
+        word = tuple(map(index, p))
+        if len(set(word)) == len(word):
+            return word
+    except TypeError:
+        pass
+    raise ValueError(f"word must be distinct integers, got {p!r}")
+
+
 def contains_naive(p: Permutation | Sequence[int], pattern) -> bool:
     """Oracle: scan all length-k subsequences for an order-isomorphic copy."""
-    word = p.word if isinstance(p, Permutation) else tuple(p)
+    word = _word(p)
     pat = _pattern_word(pattern)
     k = len(pat)
     if k > len(word):
@@ -360,10 +398,9 @@ def contains(p: Permutation | Sequence[int], pattern) -> bool:
     distinct integers: a Permutation's word is read as it is, and other
     values outside 1..n are first replaced by their ranks.
     """
-    ranked = isinstance(p, Permutation)  # a Permutation holds the values 1..n
-    word = p.word if ranked else tuple(p)
+    word = _word(p)
     pat = _pattern_word(pattern)
-    if not ranked and word and (min(word) < 1 or max(word) > len(word)):
+    if not isinstance(p, Permutation) and word and (min(word) < 1 or max(word) > len(word)):
         rank = {x: r for r, x in enumerate(sorted(word), start=1)}
         word = [rank[x] for x in word]
     extend = _extension(pat, word)

@@ -155,12 +155,8 @@ class MultiPoly(_Frozen):
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
     def __hash__(self) -> int:
+        # the one field, a dict, does not hash: hash its terms in canonical order
         return hash(self.terms())
 
     # -- text and JSON forms -------------------------------------------
@@ -530,14 +526,6 @@ class TruncatedSeries(_Frozen):
                 f"need {self.order + 1} coefficients, got {len(self.coeffs)}"
             )
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.order, self.coeffs) == (other.order, other.coeffs)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
     @classmethod
     def monomial(cls, poly: MultiPoly, power: int, order: int) -> "TruncatedSeries":
         """The series poly * z^power (zero if power exceeds the order)."""
@@ -567,17 +555,16 @@ class TruncatedSeries(_Frozen):
         return TruncatedSeries(self.order, tuple(out))
 
 
-def verify_gf_identity(N: int, numerator: Callable[[int], MultiPoly] | None = None) -> list[MultiPoly]:
+def verify_gf_identity(N: int) -> list[MultiPoly]:
     """Residuals, per order of z, of the expansion of 1 into bistatistic
-    summands:
+    summands, with numerator a_poly:
 
-        sum_{m >= 0} numerator(m+1) z^m / prod_{i=1..m+1} (1+q^i z)(1+t^i z)
+        sum_{m >= 0} a_poly(m+1) z^m / prod_{i=1..m+1} (1+q^i z)(1+t^i z)
 
-    truncated at z^N, minus 1.  With the default numerator (a_poly) every
-    residual is the zero polynomial; the return value lists them for orders
-    0..N.
+    truncated at z^N, minus 1.  Every residual is the zero polynomial; the
+    return value lists them for orders 0..N.
 
-    Note the index offset: the m-th summand carries numerator(m+1), paired
+    Note the index offset: the m-th summand carries a_poly(m+1), paired
     with denominator exponents up to m+1.  Each denominator is read off the
     Pascal table by the q-binomial theorem (Andrews, *The Theory of
     Partitions*, 1976, Thm 3.3):
@@ -588,13 +575,12 @@ def verify_gf_identity(N: int, numerator: Callable[[int], MultiPoly] | None = No
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
-    numerator = numerator or a_poly
     binomial = _pascal(2 * N)
     total = TruncatedSeries.monomial(MultiPoly.zero(), 0, N)
     for m in range(N + 1):
         q_half = tuple(MultiPoly.term((-1) ** j, q=j) * binomial[m + j][j] for j in range(N + 1))
         t_half = tuple(map(qt_swap, q_half))
-        summand = TruncatedSeries.monomial(numerator(m + 1), m, N)
+        summand = TruncatedSeries.monomial(a_poly(m + 1), m, N)
         total = total + summand * TruncatedSeries(N, q_half) * TruncatedSeries(N, t_half)
     residuals = list(total.coeffs)
     residuals[0] = residuals[0] - MultiPoly.one()

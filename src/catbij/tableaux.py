@@ -65,14 +65,6 @@ class StandardTableau(_Frozen):
             if any(map(ge, upper, lower)):  # map stops at the shorter row, lower
                 raise ValueError("columns must strictly increase")
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rows,))
-
     @property
     def n(self) -> int:
         return sum(map(len, self.rows))

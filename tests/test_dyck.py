@@ -163,7 +163,8 @@ class TestStats:
                 assert s.maj1 == sum(word[:i].count("1") for i in des)
 
     def test_valley_oracle(self):
-        # des, maj0 and maj1 read off the (x, y) of the valleys, for n <= 10
+        # des, maj0 and maj1 read off the (x, y) of the valleys, for n <= 10;
+        # path_stats reads them so, and test_prefix_count_oracle reads the word
         for n in range(1, 11):
             for D in enumerate_dyck(n):
                 v = valleys(D)

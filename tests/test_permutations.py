@@ -219,6 +219,21 @@ class TestPatterns:
         assert contains(word, 321) is found
         assert contains_naive(word, 321) is found
 
+    @pytest.mark.parametrize("word", [[1, 1], (2, 1, 2), [1.5, 2], (1, "2"), [None], 7, (True, 1)], ids=repr)
+    @pytest.mark.parametrize("check", [contains, contains_naive, avoids])
+    def test_words_outside_the_contract_are_named(self, check, word):
+        # the recognizer and its oracle share one reading of a word: ints,
+        # a bool as 0 or 1, all distinct; anything else raises, named as given
+        message = f"word must be distinct integers, got {word!r}"
+        for pattern in (21, 12, 2413):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check(word, pattern)
+
+    @pytest.mark.parametrize("check", [contains, contains_naive])
+    def test_bools_are_read_as_ints(self, check):
+        assert check((True, 0), 21) and not check([False, 2, True], 123)
+        assert check([False, 2, True], 132)
+
     def test_longer_patterns_use_naive_definition(self):
         assert contains(Permutation((2, 4, 1, 3)), (1, 2)) is True
         assert avoids(Permutation((3, 2, 1)), (1, 2))

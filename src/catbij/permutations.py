@@ -263,24 +263,18 @@ def descent_data(p: Permutation) -> DescentData:
 
 
 def perm_stats(p: Permutation) -> PermStats:
-    """Descent counts, major indices and the inversion number, in one pass.
+    """Descent counts and major indices read off the sets of
+    ``descent_data``, and the inversion number in one pass.
 
     >>> perm_stats(Permutation((6, 2, 1, 5, 4, 3)))
     PermStats(des=4, asc=2, maj=12, imaj=13, inv=9)
     """
-    w = p.word
-    des = maj = imaj = inv = seen = prev = 0
-    for i, v in enumerate(w):
-        if v < prev:
-            des += 1
-            maj += i
-        prev = v
-        above = seen >> v  # bit j set iff v + j came earlier
-        inv += above.bit_count()
-        if above & 2:  # v + 1 came before v: v is a descent of the inverse
-            imaj += v
+    d = descent_data(p)
+    inv = seen = 0
+    for v in p.word:
+        inv += (seen >> v).bit_count()  # the values above v that came earlier
         seen |= 1 << v
-    return PermStats(des=des, asc=len(w) - des, maj=maj, imaj=imaj, inv=inv)
+    return PermStats(des=len(d.des), asc=len(d.asc), maj=sum(d.des), imaj=sum(d.ides), inv=inv)
 
 
 # ---------------------------------------------------------------------------

@@ -408,10 +408,10 @@ def _two_row_gf(n: int) -> MultiPoly:
     f_k comes from a DP over ballot words, with the state (row-2 length k,
     the last letter went to row 1).  Letter p + 1 may go to row 2 while
     2k < p; after letter p in row 1 it is a descent at p, which sends the key
-    (d, m) to (d + 1, m + p).
+    (d, m) to (d + 1, m + p); the key (d, m, 0) stands for a^d q^m.
     """
     _check_size(n)
-    layer = {(0, False): Counter({(0, 0): 1})}
+    layer = {(0, False): Counter({(0, 0, 0): 1})}
     for p in range(n):
         following: defaultdict[tuple[int, bool], Counter] = defaultdict(Counter)
         for (k, top), gf in layer.items():
@@ -419,21 +419,16 @@ def _two_row_gf(n: int) -> MultiPoly:
             if 2 * k < p:
                 second = following[k + 1, False]
                 if top:
-                    for (d, m), c in gf.items():
-                        second[d + 1, m + p] += c
+                    for (d, m, _), c in gf.items():
+                        second[d + 1, m + p, 0] += c
                 else:
                     second.update(gf)
         layer = following
-    out: Counter = Counter()
+    out = MultiPoly.zero()
     for k in range(n // 2 + 1):
-        gf = layer[k, True] + layer[k, False]  # f_k: the tableaux of shape (n - k, k)
-        imajs: Counter = Counter()
-        for (_, m), c in gf.items():
-            imajs[m] += c
-        for (d, x), c in gf.items():
-            for y, c2 in imajs.items():
-                out[d, x, y] += c * c2
-    return MultiPoly._of(out)  # counts: no exponent is negative
+        f = MultiPoly._of(layer[k, True] + layer[k, False])  # the tableaux of shape (n - k, k)
+        out = out + f * _term_map(f, lambda d, m, _: (0, 0, m))
+    return out
 
 
 # each length-3 class as (closed count, term map of the count's keys, with n

@@ -78,9 +78,9 @@ class StandardTableau(_Frozen):
 
 
 def parse_tableau(text: str) -> StandardTableau:
-    """Parse the JSON text form, e.g. ``[[1,3],[2,4]]``."""
-    rows = json.loads(text)
-    return StandardTableau(tuple(tuple(r) for r in rows))
+    """Parse the JSON text form, e.g. ``[[1,3],[2,4]]``; text that is not a
+    JSON list of lists of integers raises ValueError, as a bad tableau does."""
+    return StandardTableau(json.loads(text))
 
 
 def _insert(word) -> tuple[list[list[int]], list[list[int]]]:

@@ -8,7 +8,6 @@ from catbij import (
     CeilingExceeded,
     DyckPath,
     NonBinaryCharacter,
-    PathStats,
     PathSums,
     PrefixViolation,
     UnbalancedCounts,
@@ -152,7 +151,7 @@ class TestStats:
     def test_prefix_count_oracle(self):
         # a descent is each "10" in the word, at the position of its 1;
         # maj0 and maj1 count the 0s and 1s up to that position
-        for n in range(1, 9):
+        for n in range(1, 11):
             for D in enumerate_dyck(n):
                 word = str(D)
                 des = [i for i in range(1, 2 * n) if word[i - 1 : i + 1] == "10"]
@@ -161,17 +160,6 @@ class TestStats:
                 assert s.maj == sum(des)
                 assert s.maj0 == sum(word[:i].count("0") for i in des)
                 assert s.maj1 == sum(word[:i].count("1") for i in des)
-
-    def test_valley_oracle(self):
-        # des, maj0 and maj1 read off the (x, y) of the valleys, for n <= 10;
-        # path_stats reads them so, and test_prefix_count_oracle reads the word
-        for n in range(1, 11):
-            for D in enumerate_dyck(n):
-                v = valleys(D)
-                des = [x + y for x, y in zip(v.xs, v.ys)]
-                assert path_stats(D) == PathStats(
-                    des=frozenset(des), maj=sum(des), maj0=sum(v.ys), maj1=sum(v.xs)
-                )
 
     def test_split_partitions_maj(self):
         for n in range(1, 9):

@@ -44,6 +44,11 @@ class TestStandardTableau:
         with pytest.raises(ValueError):
             StandardTableau(rows)
 
+    @pytest.mark.parametrize("text", ["[1,2]", "null", "[[1,2],3]", '{"ab": 1}'])
+    def test_parse_rejects_json_that_is_not_rows(self, text):
+        with pytest.raises(ValueError, match="tableau entries must be integers"):
+            parse_tableau(text)
+
 
 class TestTrustedConstructor:
     """The tableaux built by rsk, evacuation and standard_tableaux skip

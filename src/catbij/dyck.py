@@ -16,8 +16,8 @@ import json
 from operator import add, ge, gt, index
 from typing import Iterator, NamedTuple
 
-from .errors import NonBinaryCharacter, PrefixViolation, UnbalancedCounts
-from .permutations import DEFAULT_MAX_N, _check_size, _Frozen
+from .errors import DEFAULT_MAX_N, NonBinaryCharacter, PrefixViolation, UnbalancedCounts
+from .permutations import _check_size, _Frozen
 
 NORTH = 0
 EAST = 1
@@ -321,7 +321,7 @@ def paths_with_stats(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[tuple[DyckP
     >>> [(str(D), s.maj, s.area) for D, s in paths_with_stats(2)]
     [('0011', 0, 1), ('0101', 2, 0)]
     """
-    _check_size(n, max_n)
+    n = _check_size(n, max_n)
 
     def walk() -> Iterator[tuple[DyckPath, PathSums]]:
         steps = (NORTH,) * n + (EAST,) * n

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the enumeration ceiling shared across the package."""
 
 
 class PathError(ValueError):
@@ -42,6 +42,10 @@ class NotAvoiding312(PatternViolation):
 
 class NotAvoiding321(PatternViolation):
     pattern = (3, 2, 1)
+
+
+#: Default ceiling for exhaustive enumeration (Cat_12 = 208012 objects).
+DEFAULT_MAX_N = 12
 
 
 class CeilingExceeded(RuntimeError):

@@ -41,25 +41,31 @@ from functools import lru_cache
 from operator import attrgetter, index
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import CeilingExceeded, NotAvoiding132, NotAvoiding231, NotAvoiding312, NotAvoiding321
+from .errors import (
+    DEFAULT_MAX_N, CeilingExceeded, NotAvoiding132, NotAvoiding231, NotAvoiding312, NotAvoiding321,
+)
 
-#: Default ceiling for exhaustive enumeration (Cat_12 = 208012 objects).
-DEFAULT_MAX_N = 12
 
-
-def _check_size(n: int, max_n: int | None = None) -> None:
+def _check_size(n: int, max_n: int | None = None) -> int:
     """The size rule of every sized stream and polynomial route, applied
-    before any work: n < 1 raises ValueError and n above the ceiling max_n,
-    when one is given, raises CeilingExceeded(n, max_n).  The ceiling bounds
-    enumeration, so the closed routes, which enumerate nothing, give none.
+    before any work; returns n as an int.  n is read by the integer rule (a
+    bool counts as 0 or 1, and any other non-integer raises ValueError),
+    n < 1 raises ValueError and n above the ceiling max_n, when one is given,
+    raises CeilingExceeded(n, max_n).  The ceiling bounds enumeration, so the
+    closed routes, which enumerate nothing, give none.
 
     The verify suites word the rule for size bars: ``verification.run_suite``
     raises "size bar must be at least 1" and CeilingExceeded(bar, max_n).
     """
+    try:
+        n = index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer: {n!r}") from None
     if n < 1:
         raise ValueError("n must be at least 1")
     if max_n is not None and n > max_n:
         raise CeilingExceeded(n, max_n)
+    return n
 
 
 class _Frozen:
@@ -458,7 +464,7 @@ def avoiders_with_stats(
     [('[3,1,2]', 2), ('[3,2,1]', 3)]
     """
     pat = _pattern_word(pattern)
-    _check_size(n, max_n)
+    n = _check_size(n, max_n)
 
     def walk() -> Iterator[tuple[Permutation, PermStats]]:
         prefix: list[int] = []
@@ -553,7 +559,7 @@ def reconstruct_231(n: int, des: Iterable[int], ides: Iterable[int]) -> Permutat
     >>> reconstruct_231(6, {1, 2, 4, 5}, {1, 3, 4, 5}).word
     (6, 2, 1, 5, 4, 3)
     """
-    _check_size(n)
+    n = _check_size(n)
     des_sorted = sorted(set(des))
     ides_sorted = sorted(set(ides))
     if len(des_sorted) != len(ides_sorted):

@@ -26,10 +26,10 @@ up to which they check it:
                            (maj1, C(n,2)-maj0) bistatistic onto cat_qt, by a
                            sorted matching on each diagonal alpha - beta.
 
-Every route raises ValueError for n < 1 (``permutations._check_size``).  The
-ceiling guards enumeration only: the oracles and ``kd_search`` raise
-CeilingExceeded for n > max_n, and the closed routes, which enumerate
-nothing, take no ceiling.
+Every route raises ValueError for n < 1 or an n that is not an integer
+(``permutations._check_size``).  The ceiling guards enumeration only: the
+oracles and ``kd_search`` raise CeilingExceeded for n > max_n, and the
+closed routes, which enumerate nothing, take no ceiling.
 """
 from __future__ import annotations
 
@@ -43,9 +43,8 @@ from typing import Callable, Mapping, NamedTuple
 import json
 
 from .dyck import DyckPath, _json_fields, enumerate_dyck, path_stats, paths_with_stats
-from .errors import NegativeExponent, NoAssignment
+from .errors import DEFAULT_MAX_N, NegativeExponent, NoAssignment
 from .permutations import (
-    DEFAULT_MAX_N,
     PermStats,
     _check_size,
     _Frozen,
@@ -306,7 +305,7 @@ def _valley_gf(n: int) -> MultiPoly:
     convention of ``dyck.valleys``), so it sends the key (k, X, Y) to
     (k + 1, X + j, Y + i).
     """
-    _check_size(n)
+    n = _check_size(n)
     layer = {(0, 0, False): Counter({(0, 0, 0): 1})}
     for _ in range(2 * n):
         following: defaultdict[tuple[int, int, bool], Counter] = defaultdict(Counter)
@@ -355,7 +354,7 @@ def cat_qt(n: int) -> MultiPoly:
     >>> str(cat_qt(3))
     'q^3 + q^2*t + q*t^2 + q*t + t^3'
     """
-    _check_size(n)
+    n = _check_size(n)
     binomial = _pascal(n - 1)
     F = [[MultiPoly.one()]]  # F[m][k]
     for m in range(1, n + 1):
@@ -390,7 +389,7 @@ def macmahon_q_catalan_quotient(n: int) -> MultiPoly:
     >>> str(macmahon_q_catalan_quotient(3))
     'q^6 + q^4 + q^3 + q^2 + 1'
     """
-    _check_size(n)
+    n = _check_size(n)
     binomial = _pascal(2 * n)[2 * n]
     return binomial[n] - Q * binomial[n + 1]
 
@@ -410,7 +409,7 @@ def _two_row_gf(n: int) -> MultiPoly:
     2k < p; after letter p in row 1 it is a descent at p, which sends the key
     (d, m) to (d + 1, m + p); the key (d, m, 0) stands for a^d q^m.
     """
-    _check_size(n)
+    n = _check_size(n)
     layer = {(0, False): Counter({(0, 0, 0): 1})}
     for p in range(n):
         following: defaultdict[tuple[int, bool], Counter] = defaultdict(Counter)
@@ -667,6 +666,7 @@ def kd_search(
     >>> kd_search(7, all_assignments=False).exhaustive
     False
     """
+    n = _check_size(n)
     if all_assignments is None:
         all_assignments = n <= 5
     if all_assignments and n > 5:

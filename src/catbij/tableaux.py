@@ -204,7 +204,7 @@ def standard_tableaux(n: int) -> Iterator[StandardTableau]:
     to the first row from ``r`` on that has room (a new row always has),
     and when no row is left the last entry comes out and tries the next row.
     """
-    _check_size(n)
+    n = _check_size(n)
 
     def walk() -> Iterator[StandardTableau]:
         rows: list[list[int]] = []

@@ -35,8 +35,8 @@ from math import comb
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import bijections, dyck, permutations, polynomials, tableaux
-from .errors import CeilingExceeded, NotAvoiding321
-from .permutations import DEFAULT_MAX_N, Permutation
+from .errors import DEFAULT_MAX_N, CeilingExceeded, NotAvoiding321
+from .permutations import Permutation
 
 Test = Callable[[int, Any], "str | None"]
 

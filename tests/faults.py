@@ -179,6 +179,18 @@ FAULTS = [
           "    return from_valleys(ValleySet._of(D.n, ys, xs))",
           "tests/test_bijections.py::TestTrustedConstruction::"
           "test_rebuilds_through_the_checking_constructor[valley_complement]"),
+    # the size rule without its integer step: standard_tableaux(2.5) yields
+    # the tableaux of size 2 and the streams raise a raw TypeError
+    Fault("permutations.py",
+          "        n = index(n)",
+          "        pass",
+          "tests/test_permutations.py::TestSizeRule::test_non_integer_sizes_are_rejected"),
+    # build_parser reads the ceiling off permutations, which loads that module
+    # (and errors) for every command, --help included
+    Fault("cli.py",
+          "        default=DEFAULT_MAX_N,",
+          "        default=permutations.DEFAULT_MAX_N,",
+          "tests/test_package.py::TestStartup::test_help_loads_no_library_module_but_errors"),
 ]
 
 

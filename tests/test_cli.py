@@ -885,9 +885,11 @@ class TestVerificationSuites:
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    # start-up cost: the value types are hand-written slotted classes
+    # start-up cost: the value types are hand-written slotted classes; the
+    # star import and the read of SUITES run every library module
     src = str(Path(catbij.__file__).resolve().parents[1])
-    code = "import catbij.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = ("import catbij.cli, sys; from catbij import *; catbij.verification.SUITES; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")

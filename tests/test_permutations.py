@@ -24,17 +24,21 @@ from catbij import (
     avoider_poly,
     avoiders_with_stats,
     avoids,
+    cat_qt,
     contains,
     contains_naive,
     descent_data,
     descent_run_before,
     enumerate_avoiders,
+    enumerate_dyck,
     identity,
     inverse,
+    kd_search,
     parse_permutation,
     perm_stats,
     reconstruct_231,
     reverse,
+    standard_tableaux,
     tableau_descents,
     tristat_gf,
 )
@@ -592,6 +596,34 @@ class TestReconstruct:
     def test_size_below_one_rejected(self, n):
         with pytest.raises(ValueError, match="^n must be at least 1$"):
             reconstruct_231(n, (), ())
+
+
+class TestSizeRule:
+    """``_check_size`` reads n by the integer rule before any work, for the
+    streams, ``standard_tableaux`` and the polynomial routes alike."""
+
+    SIZED = [
+        lambda n: enumerate_avoiders(n, 231),
+        lambda n: enumerate_dyck(n),
+        standard_tableaux,
+        cat_qt,
+        lambda n: avoider_poly(n, 231, lambda s: (s.des, s.maj, s.imaj)),
+        lambda n: reconstruct_231(n, (), ()),
+        kd_search,
+    ]
+
+    def test_non_integer_sizes_are_rejected(self):
+        for sized in self.SIZED:
+            for n in (2.5, 3.0, "3", None):
+                with pytest.raises(ValueError, match=r"^n must be an integer: "):
+                    sized(n)
+            with pytest.raises(ValueError, match="^n must be at least 1$"):
+                sized(False)
+
+    def test_a_bool_counts_as_0_or_1(self):
+        assert list(enumerate_avoiders(True, 231)) == [Permutation((1,))]
+        assert [T.rows for T in standard_tableaux(True)] == [((1,),)]
+        assert cat_qt(True) == cat_qt(1)
 
 
 class TestClassInvariants:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import operator
 import os
 import sys
 from typing import Iterator
@@ -142,19 +143,21 @@ def _cmd_enumerate(args) -> int:
             for D, sums in dyck.paths_with_stats(args.n, max_n=args.max_n)
         )
         fields = _PATH_FIELDS
-        csv_word = "%s"
+        word = csv_word = "%s"
     elif kind.startswith("avoiders:"):
         pattern = kind.split(":", 1)[1]
-        rows = (
-            (str(p), des, maj, imaj, inv)
-            for p, (des, _, maj, imaj, inv)
-            in permutations.avoiders_with_stats(args.n, pattern, max_n=args.max_n)
-        )
+        # the walk's rows, each a word with its (des, maj, imaj, inv), are
+        # formatted as they come: the words are permutations by construction,
+        # so no Permutation is built.  The walk checks the pattern and the
+        # size, so the template of n letters is built only for a valid n
+        rows = itertools.starmap(
+            operator.add, permutations._avoider_rows(args.n, pattern, max_n=args.max_n))
         fields = _PERM_FIELDS
+        word = "[" + ",".join(["%d"] * args.n) + "]"
         # csv.writer quotes only a field with a comma, a quote or a line
         # break in it: a path word is 0s and 1s, and a permutation word
         # such as [2,1] has commas from n = 2 on ([1] has none)
-        csv_word = '"%s"' if args.n > 1 else "%s"
+        csv_word = f'"{word}"' if args.n > 1 else word
     else:
         print(f"unknown kind {kind!r}; use dyck or avoiders:<pattern>", file=sys.stderr)
         return EXIT_PARSE
@@ -163,9 +166,9 @@ def _cmd_enumerate(args) -> int:
     # rows are the bytes of csv.writer and json.dumps, whose quoting needs
     # no escapes for these words: digits, brackets and commas
     head, item, sep, tail = {
-        "lines": ("", "%s  " + _pairs(fields) + "\n", "", ""),
+        "lines": ("", word + "  " + _pairs(fields) + "\n", "", ""),
         "csv": (",".join(("word", *fields)) + "\n", csv_word + ",%d" * len(fields) + "\n", "", ""),
-        "json": ("[", '{"word": "%s", ' + ", ".join(f'"{k}": %d' for k in fields) + "}", ", ", "]\n"),
+        "json": ("[", '{"word": "' + word + '", ' + ", ".join(f'"{k}": %d' for k in fields) + "}", ", ", "]\n"),
     }[args.format]
     if head:
         sys.stdout.write(head)

@@ -46,6 +46,15 @@ from .errors import (
 )
 
 
+def _integer(value: int, name: str = "n") -> int:
+    """``value`` read by the integer rule: a bool counts as 0 or 1, and any
+    other non-integer raises ValueError naming ``name`` and the value."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer: {value!r}") from None
+
+
 def _check_size(n: int, max_n: int | None = None) -> int:
     """The size rule of every sized stream and polynomial route, applied
     before any work; returns n as an int.  n is read by the integer rule (a
@@ -57,10 +66,7 @@ def _check_size(n: int, max_n: int | None = None) -> int:
     The verify suites word the rule for size bars: ``verification.run_suite``
     raises "size bar must be at least 1" and CeilingExceeded(bar, max_n).
     """
-    try:
-        n = index(n)
-    except TypeError:
-        raise ValueError(f"n must be an integer: {n!r}") from None
+    n = _integer(n)
     if n < 1:
         raise ValueError("n must be at least 1")
     if max_n is not None and n > max_n:
@@ -160,7 +166,8 @@ class Permutation(_Frozen):
 
 
 def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
+    """The identity of S_n; n follows the size rule of ``_check_size``."""
+    return Permutation(tuple(range(1, _check_size(n) + 1)))
 
 
 def parse_permutation(text: str) -> Permutation:
@@ -436,13 +443,15 @@ def _require_avoids(p: Permutation, violation: type) -> None:
         raise violation(p.word)
 
 
-def avoiders_with_stats(
+def _avoider_rows(
     n: int,
     pattern,
     max_n: int = DEFAULT_MAX_N,
-) -> Iterator[tuple[Permutation, PermStats]]:
-    """Stream all pattern-avoiding permutations of {1..n} in lex order, each
-    with its ``perm_stats``.
+) -> Iterator[tuple[tuple[int, ...], tuple[int, int, int, int]]]:
+    """The avoider walk: every pattern-avoiding permutation of {1..n} in lex
+    order, as its word with its (des, maj, imaj, inv).  The words are
+    permutations by construction and are not checked; the public streams
+    and the CLI's ``enumerate avoiders`` are projections of these rows.
 
     Depth-first generation over avoiding prefixes, each extended only by the
     values that complete no occurrence; containment is monotone under
@@ -454,26 +463,23 @@ def avoiders_with_stats(
     ``_extension``): the walk tries no value that ends a copy, and for a
     length-3 pattern no branch dies.  At depth n - 1 the one free value
     ends an avoider iff ``masks[n - 1]`` holds it, as a length-3 mask
-    always does.  A bad pattern is reported before a bad size.
+    always does.  A bad pattern is reported before a bad size, both at the
+    call and not at the first ``next()``.
 
     ``sums[k]`` holds (des, maj, imaj, inv) of the first k values, so a row's
     statistics cost one step from its parent prefix, taken as in
     ``perm_stats`` (the oracle), and not a pass over the word.
-
-    >>> [(str(p), s.inv) for p, s in avoiders_with_stats(3, 231)][-2:]
-    [('[3,1,2]', 2), ('[3,2,1]', 3)]
     """
     pat = _pattern_word(pattern)
     n = _check_size(n, max_n)
 
-    def walk() -> Iterator[tuple[Permutation, PermStats]]:
+    def walk() -> Iterator[tuple[tuple[int, ...], tuple[int, int, int, int]]]:
         prefix: list[int] = []
         extend = _extension(pat, prefix)
         full = free = (2 << n) - 2
         masks = [extend(0, full)] * n
         tried = [0] * n
         sums = [(0, 0, 0, 0)] * n
-        new = tuple.__new__  # builds PermStats without its keyword-parsing __new__
         while True:
             k = len(prefix)
             rest = masks[k] & -(2 << tried[k])
@@ -497,7 +503,7 @@ def avoiders_with_stats(
                     masks[k + 1] = extend(used | bit, free)
                     continue
                 # v is the one free value, and it ends no copy
-                yield Permutation((*prefix, v)), new(PermStats, (des, n - des, maj, imaj, inv))
+                yield (*prefix, v), (des, maj, imaj, inv)
             if not prefix:
                 return
             tried[k] = 0
@@ -506,19 +512,46 @@ def avoiders_with_stats(
     return walk()
 
 
+def _avoider_stats(
+    n: int,
+    pattern,
+    max_n: int = DEFAULT_MAX_N,
+) -> Iterator[tuple[tuple[int, ...], PermStats]]:
+    """The rows of ``_avoider_rows`` with their sums as ``PermStats``."""
+    new = tuple.__new__  # builds PermStats without its keyword-parsing __new__
+    return ((w, new(PermStats, (des, len(w) - des, maj, imaj, inv)))
+            for w, (des, maj, imaj, inv) in _avoider_rows(n, pattern, max_n))
+
+
+def avoiders_with_stats(
+    n: int,
+    pattern,
+    max_n: int = DEFAULT_MAX_N,
+) -> Iterator[tuple[Permutation, PermStats]]:
+    """Stream all pattern-avoiding permutations of {1..n} in lex order, each
+    built by the checking constructor, with its ``perm_stats`` carried by
+    the walk.  A bad pattern or size raises here, not at the first
+    ``next()``.
+
+    >>> [(str(p), s.inv) for p, s in avoiders_with_stats(3, 231)][-2:]
+    [('[3,1,2]', 2), ('[3,2,1]', 3)]
+    """
+    return ((Permutation(w), s) for w, s in _avoider_stats(n, pattern, max_n))
+
+
 def enumerate_avoiders(
     n: int,
     pattern,
     max_n: int = DEFAULT_MAX_N,
 ) -> Iterator[Permutation]:
-    """The permutations of ``avoiders_with_stats``: every pattern-avoiding
-    permutation of {1..n} in lex order.  A bad pattern or size raises here,
-    not at the first ``next()``.
+    """Every pattern-avoiding permutation of {1..n} in lex order, each built
+    by the checking constructor.  A bad pattern or size raises here, not at
+    the first ``next()``.
 
     >>> [str(p) for p in enumerate_avoiders(3, 231)]
     ['[1,2,3]', '[1,3,2]', '[2,1,3]', '[3,1,2]', '[3,2,1]']
     """
-    return (p for p, _ in avoiders_with_stats(n, pattern, max_n))
+    return (Permutation(w) for w, _ in _avoider_rows(n, pattern, max_n))
 
 
 # ---------------------------------------------------------------------------

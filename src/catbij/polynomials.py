@@ -46,10 +46,11 @@ from .dyck import DyckPath, _json_fields, enumerate_dyck, path_stats, paths_with
 from .errors import DEFAULT_MAX_N, NegativeExponent, NoAssignment
 from .permutations import (
     PermStats,
+    _avoider_stats,
     _check_size,
     _Frozen,
+    _integer,
     _pattern_word,
-    avoiders_with_stats,
     perm_stats,  # the oracle of the carried sums; bench/test_bench.py reads this binding
 )
 
@@ -244,6 +245,7 @@ def q_binomial(k: int, l: int) -> MultiPoly:
     >>> str(q_binomial(4, 2))
     'q^4 + q^3 + 2*q^2 + q + 1'
     """
+    k, l = _integer(k, "k"), _integer(l, "l")
     if not 0 <= l <= k:
         raise ValueError(f"need 0 <= l <= k, got k={k}, l={l}")
     return _pascal(k)[k][l]
@@ -274,13 +276,13 @@ def avoider_poly(
     max_n: int = DEFAULT_MAX_N,
 ) -> MultiPoly:
     """Oracle: the sum over the pattern-avoiders w of size n of the monomial
-    with exponents key(perm_stats(w)), read from the statistics that
-    ``avoiders_with_stats`` carries.
+    with exponents key(perm_stats(w)), read from the statistics that the
+    avoider walk carries; no Permutation is built.
 
     >>> str(avoider_poly(3, 231, lambda s: (s.des, s.maj, s.imaj)))
     'a^2*q^3*t^3 + a*q^2*t^2 + a*q*t^2 + a*q*t + 1'
     """
-    rows = avoiders_with_stats(n, pattern, max_n=max_n)
+    rows = _avoider_stats(n, pattern, max_n=max_n)
     return MultiPoly(Counter(key(s) for _, s in rows))
 
 
@@ -483,6 +485,7 @@ def t_to_q_inverse_shifted(p: MultiPoly, n: int) -> MultiPoly:
     """q^C(n,2) * p(q, q^(-1)) as an honest polynomial: each term moves its
     t-exponent onto q as e_q + C(n,2) - e_t.  Raises NegativeExponent when
     the shift is insufficient."""
+    n = _integer(n)
     shift = comb(n, 2)
 
     def onto_q(ea: int, eq: int, et: int) -> Exponents:
@@ -567,6 +570,7 @@ def verify_gf_identity(N: int) -> list[MultiPoly]:
 
     and its t-half is the q <-> t swap, so a summand costs two series products.
     """
+    N = _integer(N, "N")
     if N < 0:
         raise ValueError("N must be nonnegative")
     binomial = _pascal(2 * N)

@@ -369,7 +369,8 @@ class TestEnumerate:
         assert out == json.dumps(rows) + "\n"
 
     @pytest.mark.parametrize(
-        "kind", ["dyck", "avoiders:231", "avoiders:123", "avoiders:2413", "avoiders:1", "avoiders:21"])
+        "kind", ["dyck", "avoiders:231", "avoiders:123", "avoiders:2413", "avoiders:1342", "avoiders:4321",
+                 "avoiders:1", "avoiders:21"])
     def test_row_templates_match_formatting_oracle(self, monkeypatch, kind):
         # each format, written in blocks of 1, 2, 3 and the default rows,
         # against its rows formatted and written one at a time
@@ -399,6 +400,17 @@ class TestEnumerate:
                         assert main(["enumerate", kind, str(n), "--format", fmt]) == 0
                     assert stdout.getvalue() == want
                     assert stdout.writes <= -(-len(rows) // block) + 2
+
+    def test_avoider_rows_build_no_checked_permutation(self, monkeypatch):
+        # the walk's words are permutations by construction, so the rows are
+        # formatted unchecked; the one checked Permutation is the pattern
+        built = []
+        post_init = Permutation.__post_init__
+        monkeypatch.setattr(Permutation, "__post_init__", lambda p: built.append(post_init(p)))
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(["enumerate", "avoiders:231", "6"]) == 0
+        assert stdout.getvalue().count("\n") == 132  # Cat_6
+        assert len(built) == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -21,6 +21,7 @@ from catbij import (
     StandardTableau,
     TruncatedSeries,
     ValleySet,
+    a_poly,
     avoider_poly,
     avoiders_with_stats,
     avoids,
@@ -36,13 +37,18 @@ from catbij import (
     kd_search,
     parse_permutation,
     perm_stats,
+    q_binomial,
     reconstruct_231,
     reverse,
     standard_tableaux,
+    t_to_q_inverse_shifted,
     tableau_descents,
     tristat_gf,
+    verify_gf_identity,
 )
-from catbij.permutations import _MASK_SETS, _descents, _extension, _inverse_word, _mask_set, _pattern_word
+from catbij.permutations import (
+    _MASK_SETS, _avoider_rows, _avoider_stats, _descents, _extension, _inverse_word, _mask_set, _pattern_word,
+)
 from catbij.verification import Check
 from conftest import CATALAN, FIGURE_PAIRS, all_perms, permutations_st
 
@@ -381,7 +387,7 @@ class TestEnumeration:
             assert [p for p, _ in rows] == list(enumerate_avoiders(n, pattern))
             assert all(type(s) is PermStats and s == perm_stats(p) for p, s in rows)
 
-    @pytest.mark.parametrize("stream", [enumerate_avoiders, avoiders_with_stats])
+    @pytest.mark.parametrize("stream", [enumerate_avoiders, avoiders_with_stats, _avoider_rows, _avoider_stats])
     @pytest.mark.parametrize("n,pattern,error", [
         (0, 231, ValueError), (13, 231, CeilingExceeded), (3, "x", ValueError), (3, 11, ValueError),
     ])
@@ -619,6 +625,21 @@ class TestSizeRule:
                     sized(n)
             with pytest.raises(ValueError, match="^n must be at least 1$"):
                 sized(False)
+
+    @pytest.mark.parametrize("sized,error", [
+        (identity, "^n must be an integer: 2.5$"),
+        (lambda n: q_binomial(n, 1), "^k must be an integer: 2.5$"),
+        (lambda n: q_binomial(3, n), "^l must be an integer: 2.5$"),
+        (verify_gf_identity, "^N must be an integer: 2.5$"),
+        (lambda n: t_to_q_inverse_shifted(a_poly(2), n), "^n must be an integer: 2.5$"),
+    ], ids=["identity", "q_binomial-k", "q_binomial-l", "verify_gf_identity", "t_to_q_inverse_shifted"])
+    def test_other_sizes_and_orders_read_the_integer_rule(self, sized, error):
+        # each keeps its range: q_binomial(0, 0) and verify_gf_identity(0) are valid
+        with pytest.raises(ValueError, match=error):
+            sized(2.5)
+        assert identity(True) == Permutation((1,))
+        assert q_binomial(0, 0) == q_binomial(True, False) == MultiPoly.one()
+        assert [r.is_zero for r in verify_gf_identity(False)] == [True]
 
     def test_a_bool_counts_as_0_or_1(self):
         assert list(enumerate_avoiders(True, 231)) == [Permutation((1,))]

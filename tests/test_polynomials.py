@@ -249,10 +249,10 @@ class TestPolynomialZoo:
             raise AssertionError("a closed route enumerated")
 
         # every stream name the module binds, plain or with statistics
-        streams = [name for name in ("enumerate_dyck", "paths_with_stats",
-                                     "enumerate_avoiders", "avoiders_with_stats")
+        streams = [name for name in ("enumerate_dyck", "paths_with_stats", "enumerate_avoiders",
+                                     "avoiders_with_stats", "_avoider_rows", "_avoider_stats")
                    if hasattr(polynomials, name)]
-        assert {"enumerate_dyck", "avoiders_with_stats"} <= set(streams)
+        assert {"enumerate_dyck", "_avoider_stats"} <= set(streams)
         for name in streams:
             monkeypatch.setattr(polynomials, name, no_stream)
         n = 14  # above the default ceiling 12, which guards enumeration only

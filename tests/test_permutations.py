@@ -634,17 +634,18 @@ class TestSizeRule:
         (lambda n: t_to_q_inverse_shifted(a_poly(2), n), "^n must be an integer: 2.5$"),
     ], ids=["identity", "q_binomial-k", "q_binomial-l", "verify_gf_identity", "t_to_q_inverse_shifted"])
     def test_other_sizes_and_orders_read_the_integer_rule(self, sized, error):
-        # each keeps its range: q_binomial(0, 0) and verify_gf_identity(0) are valid
         with pytest.raises(ValueError, match=error):
             sized(2.5)
-        assert identity(True) == Permutation((1,))
-        assert q_binomial(0, 0) == q_binomial(True, False) == MultiPoly.one()
-        assert [r.is_zero for r in verify_gf_identity(False)] == [True]
 
     def test_a_bool_counts_as_0_or_1(self):
         assert list(enumerate_avoiders(True, 231)) == [Permutation((1,))]
         assert [T.rows for T in standard_tableaux(True)] == [((1,),)]
         assert cat_qt(True) == cat_qt(1)
+        # the sizes and orders with their own ranges keep them:
+        # q_binomial(0, 0) and verify_gf_identity(0) are valid
+        assert identity(True) == Permutation((1,))
+        assert q_binomial(0, 0) == q_binomial(True, False) == MultiPoly.one()
+        assert [r.is_zero for r in verify_gf_identity(False)] == [True]
 
 
 class TestClassInvariants:

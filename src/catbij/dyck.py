@@ -307,16 +307,17 @@ def paths_with_stats(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[tuple[DyckP
     """Stream all Dyck paths of semilength n in lex order of the step word,
     each with its maj, maj0, maj1 and area.
 
-    A successor makes the rightmost north step that starts above the
-    diagonal, at j, an east step, then puts the remaining north steps before
-    the east steps: the new suffix is one east step, then north steps, then
-    east steps only.  Its one valley sits at j + 1, so the sums of the new
-    path follow from those of the first j steps without a pass over the
-    word.  The walk keeps those prefix sums at each north step, the only
-    places a later successor can start from.  The paths are Dyck words by
-    construction and built unchecked, by ``DyckPath._of``; the checking
-    ``DyckPath`` is their oracle, and ``path_stats`` and ``area`` that of
-    the sums.
+    A depth-first walk over the prefixes that some Dyck path extends (a
+    generating tree, after West): a prefix of k steps with norths north and
+    easts east steps has a north child while norths < n and an east child
+    while easts < norths.  The walk keeps an explicit stack of (k, last
+    step, norths, easts, maj, maj1, area) and pushes the east child first,
+    so the north child pops first and the paths come in lex order.  A north
+    step adds the height it starts at, norths - easts, to the area; after an
+    east step it also closes the valley at (easts, norths), the descent at
+    k (as in ``valleys``).  The paths are Dyck words by construction and
+    built unchecked, by ``DyckPath._of``; the checking ``DyckPath`` is their
+    oracle, and ``path_stats`` and ``area`` that of the sums.
 
     >>> [(str(D), s.maj, s.area) for D, s in paths_with_stats(2)]
     [('0011', 0, 1), ('0101', 2, 0)]
@@ -324,37 +325,23 @@ def paths_with_stats(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[tuple[DyckP
     n = _check_size(n, max_n)
 
     def walk() -> Iterator[tuple[DyckPath, PathSums]]:
-        steps = (NORTH,) * n + (EAST,) * n
-        # before[p]: (easts, maj, maj1, area) of steps[:p], for each north step p
-        before = [(0, 0, 0, p * (p - 1) // 2) for p in range(n)] + [None] * n
-        maj = maj1 = 0
-        total_area = n * (n - 1) // 2
+        steps = [NORTH] * (2 * n)  # steps[k - 1] is written by each pop at length k
         new = tuple.__new__  # builds PathSums without its keyword-parsing __new__
-        while True:
-            yield DyckPath._of(steps), new(PathSums, (maj, maj - maj1, maj1, total_area))
-            # scan right to left; the north step at j starts at height ones - zeros - 1
-            zeros = ones = 0
-            for j in range(2 * n - 1, 0, -1):
-                if steps[j] == EAST:
-                    ones += 1
-                elif ones - zeros > 1:
-                    break
-                else:
-                    zeros += 1
-            else:
-                return
-            steps = steps[:j] + (EAST,) + (NORTH,) * (zeros + 1) + (EAST,) * (ones - 1)
-            easts, maj, maj1, area_ = before[j]
-            height = j - 2 * easts - 1  # where the first new north step starts
-            easts += 1
-            before[j + 1] = (easts, maj, maj1, area_)
-            maj += j + 1  # the valley at j + 1
-            maj1 += easts
-            for p in range(j + 2, j + 2 + zeros):
-                area_ += height  # a north step adds the height it starts at
-                height += 1
-                before[p] = (easts, maj, maj1, area_)
-            total_area = area_ + height
+        stack = [(1, NORTH, 1, 0, 0, 0, 0)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            k, last, norths, easts, maj, maj1, area_ = pop()
+            steps[k - 1] = last
+            if k == 2 * n:
+                yield DyckPath._of(tuple(steps)), new(PathSums, (maj, maj - maj1, maj1, area_))
+                continue
+            if easts < norths:
+                push((k + 1, EAST, norths, easts + 1, maj, maj1, area_))
+            if norths < n:
+                if last == EAST:  # the valley at (easts, norths)
+                    maj += k
+                    maj1 += easts
+                push((k + 1, NORTH, norths + 1, easts, maj, maj1, area_ + norths - easts))
 
     return walk()
 

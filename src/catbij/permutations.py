@@ -64,7 +64,8 @@ def _check_size(n: int, max_n: int | None = None) -> int:
     closed routes, which enumerate nothing, give none.
 
     The verify suites word the rule for size bars: ``verification.run_suite``
-    raises "size bar must be at least 1" and CeilingExceeded(bar, max_n).
+    raises "size bar must be an integer", "size bar must be at least 1" and
+    CeilingExceeded(bar, max_n).
     """
     n = _integer(n)
     if n < 1:
@@ -566,7 +567,7 @@ def descent_run_before(p: Permutation, j: int) -> int:
     >>> descent_run_before(Permutation((6, 2, 1, 5, 4, 3)), 3)
     2
     """
-    w = p.word
+    w, j = p.word, _integer(j, "j")
     if not (0 < j < len(w) and w[j - 1] < w[j] or j == len(w)):
         raise ValueError(f"position {j} is not an ascent of {p}")
     prev = j - 1
@@ -593,8 +594,8 @@ def reconstruct_231(n: int, des: Iterable[int], ides: Iterable[int]) -> Permutat
     (6, 2, 1, 5, 4, 3)
     """
     n = _check_size(n)
-    des_sorted = sorted(set(des))
-    ides_sorted = sorted(set(ides))
+    des_sorted = sorted({_integer(i, "descent position") for i in des})
+    ides_sorted = sorted({_integer(i, "descent position") for i in ides})
     if len(des_sorted) != len(ides_sorted):
         raise ValueError(
             f"descent sets have different sizes: {des_sorted} vs {ides_sorted}"

@@ -162,31 +162,15 @@ class MultiPoly(_Frozen):
     # -- text and JSON forms -------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
+        pieces: list[str] = []  # a separator, then a term, for each term
         for (ea, eq, et), coef in self.terms():
-            names = []
-            for name, e in (("a", ea), ("q", eq), ("t", et)):
-                if e == 1:
-                    names.append(name)
-                elif e > 1:
-                    names.append(f"{name}^{e}")
-            body = "*".join(names)
-            mag = abs(coef)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            sign = "-" if coef < 0 else "+"
-            pieces.append((sign, text))
-        first_sign, first_text = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_text
-        for sign, text in pieces[1:]:
-            out += f" {sign} {text}"
-        return out
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in (("a", ea), ("q", eq), ("t", et)) if e]
+            if abs(coef) != 1 or not factors:
+                factors.insert(0, str(abs(coef)))
+            pieces += (" - " if coef < 0 else " + ", "*".join(factors))
+        if pieces:
+            pieces[0] = pieces[0].strip(" +")  # the first separator: a bare "-" or nothing
+        return "".join(pieces) or "0"
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
@@ -512,10 +496,7 @@ class TruncatedSeries(_Frozen):
         self.__post_init__()
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "order", index(self.order))
-        except TypeError:
-            raise ValueError(f"series order must be an integer: {self.order!r}") from None
+        object.__setattr__(self, "order", _integer(self.order, "series order"))
         if self.order < 0:
             raise ValueError("order must be nonnegative")
         if len(self.coeffs) != self.order + 1:

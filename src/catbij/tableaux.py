@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from operator import ge, index, ne
+from operator import ge, index
 from typing import Iterator
 
 from .errors import NotAvoiding321
@@ -125,7 +125,7 @@ def inverse_rsk(P: StandardTableau, Q: StandardTableau) -> Permutation:
     takes each entry of P once, so it is a permutation by construction,
     built unchecked.
     """
-    if len(P.rows) != len(Q.rows) or any(map(ne, map(len, P.rows), map(len, Q.rows))):
+    if P.shape != Q.shape:
         raise ValueError(f"shapes differ: {P.shape} vs {Q.shape}")
     prows = [list(r) for r in P.rows]
     n = sum(map(len, prows))

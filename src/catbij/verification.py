@@ -542,9 +542,10 @@ SUITES: dict[str, tuple[Callable[..., list[Check]], int]] = {
 def run_suite(name: str, n_max: int | None = None, max_n: int = DEFAULT_MAX_N) -> list[Check]:
     """Run one suite (or 'all') up to ``n_max``, or to each suite's default bar.
 
-    Unknown names and a bar below 1 raise ValueError; a bar above the
-    ceiling raises CeilingExceeded before any check runs, for 'all' before
-    any suite runs.  A suite enumerates only up to its bar, so it passes
+    Unknown names, a bar that is not an integer (a bool counts as 0 or 1)
+    and a bar below 1 raise ValueError; a bar above the ceiling raises
+    CeilingExceeded before any check runs, for 'all' before any suite
+    runs.  A suite enumerates only up to its bar, so it passes
     the bar on as the ceiling of its streams.
 
     >>> [c.passed for c in run_suite("inv-area", 3)]
@@ -558,7 +559,7 @@ def run_suite(name: str, n_max: int | None = None, max_n: int = DEFAULT_MAX_N) -
         if suite not in SUITES:
             known = ", ".join([*SUITES, "all"])
             raise ValueError(f"unknown suite {name!r}; choose from: {known}")
-        bar = SUITES[suite][1] if n_max is None else n_max
+        bar = SUITES[suite][1] if n_max is None else permutations._integer(n_max, "size bar")
         if bar < 1:
             raise ValueError(f"size bar must be at least 1, got {bar}")
         if bar > max_n:

@@ -49,7 +49,7 @@ from catbij import (
 from catbij.permutations import (
     _MASK_SETS, _avoider_rows, _avoider_stats, _descents, _extension, _inverse_word, _mask_set, _pattern_word,
 )
-from catbij.verification import Check
+from catbij.verification import Check, run_suite
 from conftest import CATALAN, FIGURE_PAIRS, all_perms, permutations_st
 
 SIGMA = Permutation((6, 2, 1, 5, 4, 3))
@@ -626,16 +626,24 @@ class TestSizeRule:
             with pytest.raises(ValueError, match="^n must be at least 1$"):
                 sized(False)
 
-    @pytest.mark.parametrize("sized,error", [
-        (identity, "^n must be an integer: 2.5$"),
-        (lambda n: q_binomial(n, 1), "^k must be an integer: 2.5$"),
-        (lambda n: q_binomial(3, n), "^l must be an integer: 2.5$"),
-        (verify_gf_identity, "^N must be an integer: 2.5$"),
-        (lambda n: t_to_q_inverse_shifted(a_poly(2), n), "^n must be an integer: 2.5$"),
-    ], ids=["identity", "q_binomial-k", "q_binomial-l", "verify_gf_identity", "t_to_q_inverse_shifted"])
-    def test_other_sizes_and_orders_read_the_integer_rule(self, sized, error):
+    @pytest.mark.parametrize("call,error", [
+        (lambda: identity(2.5), "^n must be an integer: 2.5$"),
+        (lambda: q_binomial(2.5, 1), "^k must be an integer: 2.5$"),
+        (lambda: q_binomial(3, 2.5), "^l must be an integer: 2.5$"),
+        (lambda: verify_gf_identity(2.5), "^N must be an integer: 2.5$"),
+        (lambda: t_to_q_inverse_shifted(a_poly(2), 2.5), "^n must be an integer: 2.5$"),
+        (lambda: run_suite("kd", 2.5), "^size bar must be an integer: 2.5$"),
+        (lambda: run_suite("kd", "3"), "^size bar must be an integer: '3'$"),
+        (lambda: reconstruct_231(3, {1.5}, {2}), "^descent position must be an integer: 1.5$"),
+        (lambda: reconstruct_231(3, {"1"}, {2}), "^descent position must be an integer: '1'$"),
+        (lambda: reconstruct_231(3, {1}, {1.5}), "^descent position must be an integer: 1.5$"),
+        (lambda: descent_run_before(Permutation((2, 1, 3)), 1.5), "^j must be an integer: 1.5$"),
+    ], ids=["identity", "q_binomial-k", "q_binomial-l", "verify_gf_identity", "t_to_q_inverse_shifted",
+            "run_suite", "run_suite-str", "reconstruct_231", "reconstruct_231-str", "reconstruct_231-ides",
+            "descent_run_before"])
+    def test_other_sizes_and_orders_read_the_integer_rule(self, call, error):
         with pytest.raises(ValueError, match=error):
-            sized(2.5)
+            call()
 
     def test_a_bool_counts_as_0_or_1(self):
         assert list(enumerate_avoiders(True, 231)) == [Permutation((1,))]
@@ -646,6 +654,11 @@ class TestSizeRule:
         assert identity(True) == Permutation((1,))
         assert q_binomial(0, 0) == q_binomial(True, False) == MultiPoly.one()
         assert [r.is_zero for r in verify_gf_identity(False)] == [True]
+        assert all(c.passed for c in run_suite("inv-area", True))
+        with pytest.raises(ValueError, match="^size bar must be at least 1, got 0$"):
+            run_suite("kd", False)
+        assert reconstruct_231(3, {True}, {True}) == Permutation((2, 1, 3))
+        assert descent_run_before(Permutation((1, 3, 2)), True) == 0
 
 
 class TestClassInvariants:

@@ -67,6 +67,12 @@ class TestMultiPoly:
         assert str(Q + T) == "q + t"
         assert str(Q * Q * T * 2 - MultiPoly.one()) == "2*q^2*t - 1"
         assert str(MultiPoly.term(-1, a=1, q=3)) == "-a*q^3"
+        one = MultiPoly.one()
+        assert str(-2 * A * Q + 3 * one) == "-2*a*q + 3"
+        assert str(Q - one) == "q - 1"
+        assert str(-one) == "-1"
+        assert str(-T) == "-t"
+        assert str(A * A * T - 2 * Q + 5 * one) == "a^2*t - 2*q + 5"
 
     def test_canonical_order_is_descending_lex(self):
         p = MultiPoly({(0, 3, 3): 1, (0, 2, 1): 1, (1, 0, 0): 1})
